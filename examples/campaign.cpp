@@ -110,7 +110,6 @@ void usage(const char* argv0) {
       "  --seed N                             base seed (round r uses seed+r)\n"
       "  --duration-ms N                      simulated length per run\n"
       "  --threads N                          worker pool size\n"
-      "  --quadratic                          brute-force reference sweeps\n"
       "  --paper-matrix                       all kinds x table1 attacks\n"
       "  --out PATH                           report JSON (default campaign.json)\n"
       "  --results-out PATH                   deterministic results-only JSON\n"
@@ -172,8 +171,6 @@ int main(int argc, char** argv) {
       cfg.duration_ms = std::atol(value(i));
     } else if (arg == "--threads") {
       cfg.threads = std::atoi(value(i));
-    } else if (arg == "--quadratic") {
-      cfg.base.quadratic_reference = true;
     } else if (arg == "--paper-matrix") {
       parse_kinds("all", cfg.kinds);
       parse_attacks("table1", cfg.attacks);

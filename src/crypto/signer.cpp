@@ -9,12 +9,9 @@ namespace {
 class RsaVerifier final : public Verifier {
  public:
   /// `cache` == nullptr memoizes into the process-wide instance; a non-null
-  /// cache scopes the verdicts to one run (campaign isolation). A non-null
-  /// `batch` is a per-step side-table of prefetched verdicts consulted only
-  /// after a counted cache miss (see Signer::verifier_with_cache).
-  explicit RsaVerifier(RsaPublicKey pub, SigVerifyCache* cache = nullptr,
-                       const SigBatchTable* batch = nullptr)
-      : ctx_(std::move(pub)), cache_(cache), batch_(batch) {}
+  /// cache scopes the verdicts to one run (campaign isolation).
+  explicit RsaVerifier(RsaPublicKey pub, SigVerifyCache* cache = nullptr)
+      : ctx_(std::move(pub)), cache_(cache) {}
   bool verify(std::span<const std::uint8_t> msg,
               std::span<const std::uint8_t> sig) const override {
     // One modexp per distinct (key, msg, sig) per cache: every other
@@ -23,26 +20,14 @@ class RsaVerifier final : public Verifier {
     auto& cache = cache_ != nullptr ? *cache_ : SigVerifyCache::instance();
     const Digest key = SigVerifyCache::key_of(ctx_.fingerprint(), msg, sig);
     if (const auto cached = cache.lookup(key)) return *cached;
-    // The miss has been counted; a prefetched verdict only replaces the
-    // modexp, so cache contents AND stats match the unprefetched run.
-    std::optional<bool> pre;
-    if (batch_ != nullptr) pre = batch_->find(key);
-    const bool ok = pre ? *pre : ctx_.verify(msg, sig);
+    const bool ok = ctx_.verify(msg, sig);
     cache.store(key, ok);
     return ok;
-  }
-
-  const Digest* key_fingerprint() const override { return &ctx_.fingerprint(); }
-
-  bool verify_uncached(std::span<const std::uint8_t> msg,
-                       std::span<const std::uint8_t> sig) const override {
-    return ctx_.verify(msg, sig);
   }
 
  private:
   RsaVerifyContext ctx_;
   SigVerifyCache* cache_;
-  const SigBatchTable* batch_;
 };
 
 class HmacVerifier final : public Verifier {
@@ -76,8 +61,8 @@ Bytes RsaSigner::sign(std::span<const std::uint8_t> msg) const {
 std::shared_ptr<const Verifier> RsaSigner::verifier() const { return verifier_; }
 
 std::shared_ptr<const Verifier> RsaSigner::verifier_with_cache(
-    SigVerifyCache& cache, const SigBatchTable* batch) const {
-  return std::make_shared<RsaVerifier>(key_.pub, &cache, batch);
+    SigVerifyCache& cache) const {
+  return std::make_shared<RsaVerifier>(key_.pub, &cache);
 }
 
 HmacSigner::HmacSigner(Bytes key)

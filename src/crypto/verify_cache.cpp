@@ -42,14 +42,6 @@ std::optional<bool> SigVerifyCache::lookup(const Digest& key) {
   return verdict;
 }
 
-std::optional<bool> SigVerifyCache::peek(const Digest& key) const {
-  const Shard& shard = shard_of(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return std::nullopt;
-  return it->second.ok;
-}
-
 void SigVerifyCache::store(const Digest& key, bool ok) {
   if (capacity_.load(std::memory_order_relaxed) == 0) return;
   Shard& shard = shard_of(key);

@@ -47,17 +47,6 @@
 
 namespace nwade::crypto {
 
-/// Hash functor for digest-keyed tables. The key is itself a SHA-256
-/// output, so any 8 bytes are a good hash.
-struct DigestKeyHash {
-  std::size_t operator()(const Digest& d) const {
-    std::size_t h;
-    static_assert(sizeof(h) <= 32);
-    std::memcpy(&h, d.data(), sizeof(h));
-    return h;
-  }
-};
-
 class SigVerifyCache {
  public:
   struct Stats {
@@ -85,13 +74,6 @@ class SigVerifyCache {
 
   /// The cached verdict for `key`, counting a hit/miss either way.
   std::optional<bool> lookup(const Digest& key);
-
-  /// Stats-free probe: the cached verdict without touching the hit/miss
-  /// counters. Used by the batch-verify prefetch to decide which pending
-  /// signatures still need a modexp — the receivers' own lookup() calls do
-  /// the counting later, so run digests that fold cache stats stay
-  /// byte-identical whether or not a prefetch ran.
-  std::optional<bool> peek(const Digest& key) const;
 
   /// Records a verdict, evicting the oldest entry when full. Idempotent for
   /// a key already present (verdicts are pure, so the value cannot differ).
@@ -122,7 +104,15 @@ class SigVerifyCache {
   bool checkpoint_restore(ByteReader& r);
 
  private:
-  using DigestHash = DigestKeyHash;
+  /// The key is itself a SHA-256 output, so any 8 bytes are a good hash.
+  struct DigestHash {
+    std::size_t operator()(const Digest& d) const {
+      std::size_t h;
+      static_assert(sizeof(h) <= 32);
+      std::memcpy(&h, d.data(), sizeof(h));
+      return h;
+    }
+  };
 
   struct Entry {
     bool ok{false};
@@ -156,28 +146,6 @@ class SigVerifyCache {
   std::atomic<std::uint64_t> insertions_{0};
   std::atomic<std::uint64_t> evictions_{0};
   std::array<Shard, kShards> shards_;
-};
-
-/// One step's worth of pre-computed signature verdicts, produced by the
-/// world's batch-verify prefetch (pending block deliveries fanned across
-/// the worker pool) and consumed by RsaVerifier::verify *after* a genuinely
-/// counted cache miss. Single-writer, read-only while deliveries run; the
-/// owner clears it every step. Deliberately invisible to checkpoints — it
-/// is a pure acceleration side-table whose contents are recomputable.
-class SigBatchTable {
- public:
-  void clear() { entries_.clear(); }
-  void put(const Digest& key, bool ok) { entries_[key] = ok; }
-  std::optional<bool> find(const Digest& key) const {
-    const auto it = entries_.find(key);
-    if (it == entries_.end()) return std::nullopt;
-    return it->second;
-  }
-  bool contains(const Digest& key) const { return entries_.contains(key); }
-  std::size_t size() const { return entries_.size(); }
-
- private:
-  std::unordered_map<Digest, bool, DigestKeyHash> entries_;
 };
 
 }  // namespace nwade::crypto

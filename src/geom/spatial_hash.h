@@ -6,15 +6,14 @@
 // into square cells so a radius query touches only the cells the disc
 // overlaps.
 //
-// Equivalence contract (how the quadratic_reference flags stay honest): the
-// index never answers a geometric predicate itself. `query_candidates`
-// returns a *superset* of the exact in-radius set (every point whose cell
-// intersects the disc) and `for_each_near_pair` visits a superset of all
-// pairs closer than the cell size; callers re-apply the exact floating-point
-// predicate the brute-force path uses, so indexed and quadratic runs make
-// bit-identical decisions. Candidates come back in ascending insertion-index
-// order, which lets callers that iterate id-sorted containers preserve their
-// exact iteration order.
+// Equivalence contract: the index never answers a geometric predicate
+// itself. `query_candidates` returns a *superset* of the exact in-radius set
+// (every point whose cell intersects the disc) and `for_each_near_pair`
+// visits a superset of all pairs closer than the cell size; callers re-apply
+// the exact floating-point predicate an all-pairs scan would use, so their
+// decisions are bit-identical to that scan's. Candidates come back in
+// ascending insertion-index order, which lets callers that iterate id-sorted
+// containers preserve their exact iteration order.
 //
 // Rebuild-per-snapshot design: points are immutable once inserted; callers
 // clear() and re-insert when positions move (an O(V) rebuild is the same

@@ -229,26 +229,21 @@ void Network::collect_receivers(NodeId from, geom::Vec2 origin,
   // rebuilt with a different insert/erase history) reproduces the exact
   // enumeration, and with it which packet copies the loss model eats and
   // every envelope's queue seq. The grid is used as a candidate pre-filter
-  // inside that canonical order rather than as the iteration itself, so
-  // indexed and quadratic stepping stay byte-identical.
-  bool indexed = !config_.quadratic_reference;
+  // inside that canonical order rather than as the iteration itself.
+  if (grid_built_at_ != clock_.now() || grid_epoch_ != membership_epoch_) {
+    rebuild_grid();
+  }
+  grid_scratch_.clear();
+  grid_.query_candidates(origin, config_.comm_radius_m + kGridSlackM,
+                         grid_scratch_);
+  // Dense regime: when the padded disc covers every node the filter can
+  // reject nothing, so skip building the candidate set and run the plain
+  // scan (identical result either way; this is purely a cost call).
+  const bool indexed = grid_scratch_.size() != grid_ids_.size();
   if (indexed) {
-    if (grid_built_at_ != clock_.now() || grid_epoch_ != membership_epoch_) {
-      rebuild_grid();
-    }
-    grid_scratch_.clear();
-    grid_.query_candidates(origin, config_.comm_radius_m + kGridSlackM,
-                           grid_scratch_);
-    if (grid_scratch_.size() == grid_ids_.size()) {
-      // Dense regime: the padded disc covers every node, so the filter can
-      // reject nothing — skip building the candidate set and run the plain
-      // scan (identical result either way; this is purely a cost call).
-      indexed = false;
-    } else {
-      candidates_.clear();
-      for (const std::size_t idx : grid_scratch_) {
-        candidates_.insert(grid_ids_[idx]);
-      }
+    candidates_.clear();
+    for (const std::size_t idx : grid_scratch_) {
+      candidates_.insert(grid_ids_[idx]);
     }
   }
   out.clear();

@@ -77,12 +77,6 @@ struct NetworkConfig {
   std::uint64_t seed{1};
   /// Fault-injection profile; all features default to off.
   FaultProfile fault;
-  /// true = broadcast range-checks every node with the original brute-force
-  /// loop instead of pre-filtering through the uniform-grid index. Kept
-  /// purely as the equivalence/bench baseline (same pattern as
-  /// SchedulerConfig::linear_reference_scan); both paths deliver to the
-  /// identical receiver set in the identical order.
-  bool quadratic_reference{false};
   /// Metrics registry backing the traffic accounting (net.* counters and
   /// latency histograms). nullptr = the network owns a private registry, so
   /// standalone construction keeps working and stats() is always live.
@@ -157,19 +151,6 @@ class Network {
   /// Number of in-flight deliveries (tests/diagnostics).
   std::size_t pending_deliveries() const { return pending_.size(); }
 
-  /// Visits every in-flight delivery whose arrival tick is <= `until`, in
-  /// ascending delivery-id (== scheduling) order. The world's batch-verify
-  /// prefetch uses this to see which signed payloads are about to be
-  /// delivered this step; read-only, and the envelopes may still be dropped
-  /// at delivery time (outages, live range check), so callers must treat
-  /// the visit as a superset of what receivers will actually process.
-  template <typename Fn>
-  void for_each_pending_due(Tick until, Fn&& fn) const {
-    for (const auto& [id, p] : pending_) {
-      if (p.arrival <= until) fn(p.env);
-    }
-  }
-
  private:
   /// Cached per-kind counter handles; looked up once per kind, then every
   /// packet copy of that kind is a few relaxed fetch_adds.
@@ -208,7 +189,7 @@ class Network {
                         util::telemetry::Histogram latency_ms);
   /// Fills `out` with the ids of every registered node (sender excluded)
   /// whose *current* position is within the communication radius of
-  /// `origin`, ascending. Grid-accelerated unless quadratic_reference.
+  /// `origin`, ascending, pre-filtered through the position grid.
   void collect_receivers(NodeId from, geom::Vec2 origin,
                          std::vector<NodeId>& out);
   void rebuild_grid();

@@ -45,19 +45,10 @@ VehicleNode::VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
       traits_(traits),
       spawn_time_(spawn_time),
       attack_(attack),
-      kin_row_(ctx_.columns != nullptr
-                   ? ctx_.columns->add_row(id.value,
-                                           static_cast<std::uint32_t>(route_id))
-                   : 0),
-      s_(ctx_.columns != nullptr ? ctx_.columns->s[kin_row_] : kin_fallback_[0]),
-      v_(ctx_.columns != nullptr ? ctx_.columns->v[kin_row_] : kin_fallback_[1]),
-      lateral_offset_(ctx_.columns != nullptr ? ctx_.columns->lateral[kin_row_]
-                                              : kin_fallback_[2]),
       store_(ctx.config->chain_depth) {
   assert(ctx_.intersection && ctx_.config && ctx_.network && ctx_.clock &&
          ctx_.sensors && ctx_.metrics && ctx_.malicious_ids);
-  // Sized so a fresh vehicle's first watch scans don't grow the buffer from
-  // inside the chunked scan kernel, which is gated allocation-free.
+  // Sized so a fresh vehicle's first watch scans don't grow the buffer.
   obs_scratch_.reserve(64);
 }
 
@@ -126,15 +117,7 @@ void VehicleNode::retry_plan_request(Tick now) {
   next_plan_request_at_ = now + backoff;
 }
 
-void VehicleNode::set_state(VehicleState next) {
-  state_ = next;
-  // Mirror liveness into the SoA active flag so column-streaming kernels
-  // (the sense-grid rebuild) can skip exited rows without touching the node.
-  if (ctx_.columns != nullptr) {
-    ctx_.columns->active[kin_row_] =
-        next == VehicleState::kExited ? std::uint8_t{0} : std::uint8_t{1};
-  }
-}
+void VehicleNode::set_state(VehicleState next) { state_ = next; }
 
 int VehicleNode::adaptive_threshold() const {
   return std::max(ctx_.config->global_report_threshold, sensed_neighbours_ / 2 + 1);
@@ -247,71 +230,6 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
     ctx_.metrics->global_reports++;
     trace_instant("nwade", "global_report", now);
   }
-}
-
-bool VehicleNode::step_has_side_effects(Tick now) const {
-  // Mirrors step()'s branch structure on the vehicle's own pre-step state.
-  // Physics itself only moves s_/v_/lateral_offset_, so none of these
-  // conditions can flip between classification and the post-physics checks
-  // inside step() — except the exit latch, which step_kinematics() handles.
-  if (state_ == VehicleState::kExited) return false;  // step() is a no-op
-  // Deviators are impure from the start (the trigger latch fires the
-  // violation metric); they are a handful per scenario, so being
-  // conservative here costs nothing.
-  if (attack_.role == VehicleRole::kDeviator) return true;
-  // Degraded crossing senses the conflict box and counts its own metrics.
-  if (state_ == VehicleState::kDegraded) return true;
-  // Incident-report timeout: observes, re-reports, or self-evacuates.
-  if (state_ == VehicleState::kAwaitingResponse && now >= awaiting_deadline_) {
-    return true;
-  }
-  // Plan-request retransmission sends (the kDegraded arm of the condition is
-  // subsumed by the kDegraded check above).
-  if (!plan_ && now >= next_plan_request_at_ &&
-      state_ == VehicleState::kPreparation) {
-    return true;
-  }
-  // Periodic self-evacuation beacon broadcasts.
-  if (state_ == VehicleState::kSelfEvacuation && global_report_sent_ &&
-      now - last_beacon_at_ >= kBeaconPeriodMs) {
-    return true;
-  }
-  return false;
-}
-
-bool VehicleNode::step_kinematics(Tick now, Duration dt_ms) {
-  assert(!step_has_side_effects(now));
-  const auto& route = ctx_.intersection->route(route_id_);
-  const auto& limits = ctx_.intersection->config().limits;
-  const double dt = static_cast<double>(dt_ms) / 1000.0;
-
-  // The side-effect-free subset of step()'s physics branches: no deviation
-  // latch (deviators are classified impure), no degraded mode.
-  if (state_ == VehicleState::kSelfEvacuation) {
-    if (s_ < route.core_begin - 5.0) {
-      v_ = std::max(v_ - limits.max_decel_mps2 * dt, 0.0);
-      lateral_offset_ = std::min(lateral_offset_ + 1.0 * dt, 3.5);
-    } else if (s_ < route.core_end) {
-      v_ = std::max(v_, 0.4 * limits.speed_limit_mps);
-    } else {
-      v_ = std::min(v_ + limits.max_accel_mps2 * dt, limits.speed_limit_mps);
-    }
-    s_ += v_ * dt;
-  } else if (plan_) {
-    s_ = plan_->s_at(now);
-    v_ = plan_->v_at(now);
-  }
-  // else: preparation — hold at the communication-zone edge.
-
-  if (s_ >= route.path.length() - 0.05) {
-    // The caller's fixed-order merge owns the bookkeeping the full step()
-    // would have done here (exited metric, network removal, crossing time);
-    // a side-effect-free vehicle cannot be kDegraded, so the degraded
-    // crossing counter never applies on this path.
-    set_state(VehicleState::kExited);
-    return true;
-  }
-  return false;
 }
 
 // --- degraded mode (no plan after all retries) -----------------------------------
@@ -448,39 +366,22 @@ void VehicleNode::step_degraded(Tick now, double dt, const traffic::Route& route
 // --- neighbourhood watch (Algorithm 2) -------------------------------------------
 
 void VehicleNode::watch(Tick now) {
-  if (!watch_due(now)) return;
-  watch_scan(now);
-  watch_emit(now);
-}
-
-bool VehicleNode::watch_due(Tick now) const {
-  (void)now;
-  if (!ctx_.config->security_enabled) return false;
+  if (!ctx_.config->security_enabled) return;
   if (state_ == VehicleState::kPreparation || state_ == VehicleState::kExited) {
-    return false;
+    return;
   }
   // A degraded vehicle never obtained (or kept) chain state to compare
   // neighbours against; it focuses on its own sensor-gated crossing.
-  if (state_ == VehicleState::kDegraded) return false;
+  if (state_ == VehicleState::kDegraded) return;
   // A self-evacuating vehicle focuses on leaving safely: it has written the
   // IM off, already broadcast its warning, and ignores further chain state,
   // so fresh incident reports from it would only compare against stale plans.
-  if (state_ == VehicleState::kSelfEvacuation) return false;
-  if (attack_.role == VehicleRole::kDeviator) return false;  // attackers don't help
-  return true;
-}
+  if (state_ == VehicleState::kSelfEvacuation) return;
+  if (attack_.role == VehicleRole::kDeviator) return;  // attackers don't help
 
-void VehicleNode::watch_scan(Tick now) {
-  (void)now;
   ctx_.sensors->sense_around_into(position(), ctx_.config->sensing_radius_m, id_,
                                   obs_scratch_);
-}
-
-void VehicleNode::watch_emit(Tick now) {
   const std::vector<Observation>& observations = obs_scratch_;
-  // Old watch() sensed after run_attack; both sweeps used identical
-  // arguments against the same frozen scene, so handing run_attack the scan
-  // result is observation-for-observation the same.
   if (attack_.role == VehicleRole::kFalseReporter) run_attack(now, observations);
 
   sensed_neighbours_ = static_cast<int>(observations.size());

@@ -81,14 +81,6 @@ struct VehicleContext {
   /// Optional telemetry (nullptr = no trace); injected by the World.
   util::telemetry::Registry* registry{nullptr};
   util::trace::Tracer* tracer{nullptr};
-  /// Optional SoA home for the vehicle's kinematic hot state (progress,
-  /// speed, lateral offset). When set, the node claims one row at
-  /// construction and its s_/v_/lateral_offset_ references alias the column
-  /// slots, so the world's phase kernels can stream every vehicle's
-  /// kinematics contiguously. nullptr = the node stores them locally
-  /// (standalone tests, the world's AoS reference mode). Must outlive the
-  /// node and must be reserve()d for every row it will ever hold.
-  traffic::VehicleColumns* columns{nullptr};
 };
 
 class VehicleNode final : public net::Node {
@@ -108,34 +100,8 @@ class VehicleNode final : public net::Node {
   /// Physics + timers; call every simulation step.
   void step(Tick now, Duration dt_ms);
 
-  // Deterministic-parallel seams. The world classifies every vehicle from
-  // its own pre-step state, runs maximal side-effect-free runs through
-  // step_kinematics() on the worker pool, and serializes everything else at
-  // its exact id position — byte-identical to calling step() on each
-  // vehicle in id order.
-  /// True when step(now, ·) could do more than advance kinematics and latch
-  /// the exit state: send messages, touch shared metrics, sense, or take a
-  /// protocol transition. Pure function of this vehicle's own state, and
-  /// stable across earlier vehicles' steps (their physics cannot change the
-  /// inputs), so the whole fleet can be classified up front.
-  bool step_has_side_effects(Tick now) const;
-  /// The side-effect-free slice of step(): advances s/v/lateral and latches
-  /// kExited. Returns true when the vehicle exited this step; the caller
-  /// owns the exit bookkeeping (exited metric, network removal, crossing
-  /// time) the full step() would have done. Only valid when
-  /// !step_has_side_effects(now). Safe to run concurrently with other
-  /// vehicles' step_kinematics (touches only this vehicle's rows).
-  bool step_kinematics(Tick now, Duration dt_ms);
-
   /// Neighbourhood-watch scan; the world calls it every watch interval.
-  /// Equivalent to watch_due() ? (watch_scan(), watch_emit()) : nothing.
   void watch(Tick now);
-  // Split watch for the chunked phase: eligibility (pure), the sensor sweep
-  // (read-only against the frozen scene — parallel-safe), then the emit half
-  // (reports/sends/state transitions — serial, id order).
-  bool watch_due(Tick now) const;
-  void watch_scan(Tick now);
-  void watch_emit(Tick now);
 
   // --- introspection ------------------------------------------------------------
   VehicleId id() const { return id_; }
@@ -160,15 +126,9 @@ class VehicleNode final : public net::Node {
   const std::set<VehicleId>& self_evac_announced() const;
   Tick spawn_time() const { return spawn_time_; }
   const VehicleAttackProfile& attack_profile() const { return attack_; }
-  /// SoA row this node claimed at construction (0 when columnless). The
-  /// checkpoint layer records it so a restored world can rebuild nodes in
-  /// row order — which is spawn order, not necessarily id order once grid
-  /// handoffs inject foreign ids mid-run.
-  std::size_t kin_row() const { return kin_row_; }
 
   /// Grid boundary handoff: seeds the carried-over entry speed right after
-  /// construction, before the vehicle's first step. Plain assignment through
-  /// the kinematics reference, so both the SoA and the columnless home see it.
+  /// construction, before the vehicle's first step.
   void seed_speed(double v_mps) { v_ = v_mps; }
 
   // --- checkpoint/restore (sim/checkpoint) -----------------------------------
@@ -242,16 +202,10 @@ class VehicleNode final : public net::Node {
 
   VehicleState state_{VehicleState::kPreparation};
 
-  // Physical ground truth. When ctx_.columns is set the values live in the
-  // world's SoA columns (one claimed row) and the references alias the
-  // column slots; otherwise they alias the local fallback. Every method —
-  // including the checkpoint byte layout — reads and writes through the
-  // references, so both homes behave identically.
-  std::size_t kin_row_{0};
-  double kin_fallback_[3]{0.0, 0.0, 0.0};  ///< s, v, lateral when columnless
-  double& s_;
-  double& v_;
-  double& lateral_offset_;  ///< deviators drift off the lane centreline
+  // Physical ground truth.
+  double s_{0};
+  double v_{0};
+  double lateral_offset_{0};  ///< deviators drift off the lane centreline
 
   // Protocol state.
   chain::BlockStore store_;
@@ -297,9 +251,8 @@ class VehicleNode final : public net::Node {
   bool attack_fired_{false};
   bool global_report_sent_{false};
   int sensed_neighbours_{0};
-  /// Reused observation buffer: filled by watch_scan(), consumed by
-  /// watch_emit() within the same watch phase. Transient scratch — never
-  /// checkpointed, stale outside the phase.
+  /// Reused observation buffer for watch(). Transient scratch — never
+  /// checkpointed, stale outside a watch call.
   std::vector<Observation> obs_scratch_;
 };
 

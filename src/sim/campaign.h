@@ -21,9 +21,8 @@
 namespace nwade::sim {
 
 /// The matrix a campaign expands. `base` carries every knob the matrix does
-/// not sweep (fault profile, scheduler, legacy fraction, quadratic_reference,
-/// ...); the swept axes below overwrite the corresponding base fields per
-/// cell.
+/// not sweep (fault profile, scheduler, legacy fraction, ...); the swept
+/// axes below overwrite the corresponding base fields per cell.
 struct CampaignConfig {
   std::vector<traffic::IntersectionKind> kinds{
       traffic::IntersectionKind::kCross4};

@@ -64,7 +64,7 @@ void save_scenario_config(ByteWriter& w, const ScenarioConfig& c) {
   w.f64(nc.comm_radius_m);
   w.f64(nc.loss_probability);
   w.u64(nc.seed);
-  w.u8(nc.quadratic_reference ? 1 : 0);
+  w.u8(0);  // retired field, always 0 (docs/CHECKPOINT.md §6)
   const net::FaultProfile& f = nc.fault;
   w.f64(f.ge_p_good_to_bad);
   w.f64(f.ge_p_bad_to_good);
@@ -99,13 +99,11 @@ void save_scenario_config(ByteWriter& w, const ScenarioConfig& c) {
   w.u8(static_cast<std::uint8_t>(c.im_attack_mode));
   w.u8(c.nwade_enabled ? 1 : 0);
   w.f64(c.legacy_fraction);
-  w.u8(c.quadratic_reference ? 1 : 0);
+  w.u8(0);  // retired field, always 0
   w.u8(c.trace_enabled ? 1 : 0);
-  // Grid-sharding hooks (appended last; see the matching loads). Unlike
-  // step_threads/aos_reference these are behavior knobs: the id base names
-  // every vehicle and the extra capacity must be re-reserved on restore.
+  // Grid-sharding hook (appended last): the id base names every vehicle.
   w.u64(c.vehicle_id_base);
-  w.u64(c.extra_vehicle_capacity);
+  w.u64(0);  // retired field, always 0
 }
 
 bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
@@ -160,7 +158,7 @@ bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
   nc.comm_radius_m = r.f64();
   nc.loss_probability = r.f64();
   nc.seed = r.u64();
-  nc.quadratic_reference = r.u8() != 0;
+  (void)r.u8();  // retired field, read and ignored
   net::FaultProfile& f = nc.fault;
   f.ge_p_good_to_bad = r.f64();
   f.ge_p_bad_to_good = r.f64();
@@ -214,10 +212,10 @@ bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
   c.im_attack_mode = static_cast<protocol::ImAttackMode>(im_mode);
   c.nwade_enabled = r.u8() != 0;
   c.legacy_fraction = r.f64();
-  c.quadratic_reference = r.u8() != 0;
+  (void)r.u8();  // retired field, read and ignored
   c.trace_enabled = r.u8() != 0;
   c.vehicle_id_base = r.u64();
-  c.extra_vehicle_capacity = r.u64();
+  (void)r.u64();  // retired field, read and ignored
   return r.ok();
 }
 
@@ -598,14 +596,7 @@ Bytes World::checkpoint_save() const {
       w.i64(a.trigger_at);
       w.u8(static_cast<std::uint8_t>(a.deviation));
       w.u8(static_cast<std::uint8_t>(a.false_report));
-      // The SoA row this vehicle owns. Restore must re-construct nodes in
-      // *row* order (not id order) so every node claims the row it held
-      // before the checkpoint: grid handoffs inject foreign ids whose rows
-      // interleave chronologically with local spawns, breaking the old
-      // "ascending id == spawn order" invariant. 0xffffffff = AoS mode.
-      w.u32(config_.aos_reference
-                ? 0xffffffffu
-                : static_cast<std::uint32_t>(v->kin_row()));
+      w.u32(0xffffffffu);  // retired vehicle-row slot (docs/CHECKPOINT.md §6)
       // Node state travels as a length-prefixed blob so the restore side
       // can stage all records before constructing any node.
       ByteWriter node_w;
@@ -780,75 +771,46 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
     if (!r.ok() || n > r.remaining() / 44) {
       return fail("malformed vehicles section");
     }
-    // Stage every record first, then construct in *row* order: rows encode
-    // the original spawn/injection chronology, which grid handoffs decouple
-    // from id order. Constructing row-by-row reproduces both the SoA row
-    // assignment and the network's add_node order.
-    struct VehicleRecord {
-      VehicleId id;
-      int route_id{0};
-      traffic::VehicleTraits traits;
-      Tick spawn_time{0};
-      protocol::VehicleAttackProfile profile;
-      std::uint32_t row{0};
-      Bytes node_blob;
-    };
-    std::vector<VehicleRecord> records;
-    records.reserve(n);
+    protocol::VehicleContext ctx;
+    ctx.intersection = &intersection_;
+    ctx.config = &config_.nwade;
+    ctx.network = network_.get();
+    ctx.clock = &clock_;
+    ctx.sensors = this;
+    ctx.im_verifier = im_verifier_;
+    ctx.metrics = &metrics_;
+    ctx.malicious_ids = &malicious_ids_;
+    ctx.registry = &registry_;
+    ctx.tracer = &tracer_;
     for (std::uint32_t i = 0; i < n; ++i) {
-      VehicleRecord rec;
-      rec.id = VehicleId{r.u64()};
-      rec.route_id = static_cast<int>(r.i64());
-      rec.traits = traffic::VehicleTraits::deserialize(r);
-      rec.spawn_time = r.i64();
+      const VehicleId id{r.u64()};
+      const int route_id = static_cast<int>(r.i64());
+      const traffic::VehicleTraits traits = traffic::VehicleTraits::deserialize(r);
+      const Tick spawn_time = r.i64();
       const std::uint8_t role = r.u8();
       if (!r.ok() ||
           role > static_cast<std::uint8_t>(
                      protocol::VehicleRole::kFalseReporter)) {
         return fail("malformed vehicles section");
       }
-      rec.profile.role = static_cast<protocol::VehicleRole>(role);
-      rec.profile.trigger_at = r.i64();
-      rec.profile.deviation = static_cast<protocol::DeviationMode>(r.u8() & 1);
-      rec.profile.false_report =
-          static_cast<protocol::FalseReportKind>(r.u8() & 1);
-      rec.row = r.u32();
-      rec.node_blob = r.bytes();
+      protocol::VehicleAttackProfile profile;
+      profile.role = static_cast<protocol::VehicleRole>(role);
+      profile.trigger_at = r.i64();
+      profile.deviation = static_cast<protocol::DeviationMode>(r.u8() & 1);
+      profile.false_report = static_cast<protocol::FalseReportKind>(r.u8() & 1);
+      (void)r.u32();  // retired vehicle-row slot, read and ignored
+      const Bytes node_blob = r.bytes();
       if (!r.ok()) return fail("malformed vehicles section");
-      records.push_back(std::move(rec));
-    }
-    if (!r.at_end()) return fail("malformed vehicles section");
-    std::sort(records.begin(), records.end(),
-              [](const VehicleRecord& a, const VehicleRecord& b) {
-                return a.row != b.row ? a.row < b.row
-                                      : a.id.value < b.id.value;
-              });
-    for (const VehicleRecord& rec : records) {
-      protocol::VehicleContext ctx;
-      ctx.intersection = &intersection_;
-      ctx.config = &config_.nwade;
-      ctx.network = network_.get();
-      ctx.clock = &clock_;
-      ctx.sensors = this;
-      ctx.im_verifier = im_verifier_;
-      ctx.metrics = &metrics_;
-      ctx.malicious_ids = &malicious_ids_;
-      ctx.registry = &registry_;
-      ctx.tracer = &tracer_;
-      // step_threads/aos_reference are deliberately not part of the
-      // envelope; a restored world always uses the current config's
-      // defaults, which cannot change results (only wall clock).
-      ctx.columns = config_.aos_reference ? nullptr : &columns_;
       // Attackers injected by a grid handoff are not re-created by
       // assign_attack_roles on resume — re-register their roles so sensing
       // and metrics labelling keep treating them as malicious.
-      if (rec.profile.role != protocol::VehicleRole::kBenign) {
-        malicious_ids_.insert(rec.id);
-        attack_roles_[rec.id] = rec.profile;
+      if (profile.role != protocol::VehicleRole::kBenign) {
+        malicious_ids_.insert(id);
+        attack_roles_[id] = profile;
       }
       auto node = std::make_unique<protocol::VehicleNode>(
-          ctx, rec.id, rec.route_id, rec.traits, rec.spawn_time, rec.profile);
-      ByteReader nr(rec.node_blob);
+          ctx, id, route_id, traits, spawn_time, profile);
+      ByteReader nr(node_blob);
       if (!node->checkpoint_restore(nr) || !nr.at_end()) {
         return fail("malformed vehicles section");
       }
@@ -856,8 +818,9 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
       // chain stores still matter (trace digests fold every vehicle). A
       // restored vehicle never start()s — its spawn is history.
       if (!node->exited()) network_->add_node(node.get());
-      vehicles_[rec.id] = std::move(node);
+      vehicles_[id] = std::move(node);
     }
+    if (!r.at_end()) return fail("malformed vehicles section");
   }
   {
     ByteReader r(*legacy_s);

@@ -54,40 +54,27 @@ Grid::Grid(GridConfig config, bool construct_worlds)
     assert(config_.shard.intersection.kind ==
                traffic::IntersectionKind::kCross4 &&
            "multi-shard grids require the cross4 leg->neighbour mapping");
-    assert(!config_.shard.aos_reference &&
-           "grid handoffs require the SoA vehicle core");
   }
   build_edges();
   if (!construct_worlds) return;
 
-  // Derive per-shard scenarios: disjoint seeds and id ranges, and an inner
-  // step-thread budget that keeps one level of parallelism at a time (the
-  // WorkerPool oversubscription policy — 8 shard threads x 4 step threads
-  // must run 8 workers, not 32).
+  // Derive per-shard scenarios: disjoint seeds and id ranges.
   std::vector<ScenarioConfig> cfgs(static_cast<std::size_t>(n), config_.shard);
-  std::vector<std::size_t> counts(static_cast<std::size_t>(n), 0);
   std::size_t total = 0;
   for (int i = 0; i < n; ++i) {
     const auto ui = static_cast<std::size_t>(i);
     cfgs[ui].seed = mix2(config_.seed, static_cast<std::uint64_t>(i));
     cfgs[ui].vehicle_id_base = kIdStride * static_cast<std::uint64_t>(i);
-    cfgs[ui].step_threads = util::nested_thread_budget(
-        config_.grid_threads, config_.shard.step_threads);
     if (config_.attack_shard >= 0 && i != config_.attack_shard) {
       cfgs[ui].attack = protocol::AttackSetting{"benign", 0, false, 0, 0};
     }
-    counts[ui] = World::arrival_count(cfgs[ui]);
-    total += counts[ui];
+    total += World::arrival_count(cfgs[ui]);
   }
   assert(total < kIdStride && "shard id ranges would collide");
+  (void)total;
   shards_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
-    const auto ui = static_cast<std::size_t>(i);
-    // A vehicle enters any shard at most once (revisit retirement), so the
-    // worst-case injection load on a shard is every OTHER shard's arrivals.
-    cfgs[ui].extra_vehicle_capacity =
-        static_cast<std::uint64_t>(total - counts[ui]);
-    shards_.push_back(std::make_unique<World>(cfgs[ui]));
+    shards_.push_back(std::make_unique<World>(cfgs[static_cast<std::size_t>(i)]));
     shards_.back()->enable_exit_log();
   }
 }

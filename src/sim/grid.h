@@ -19,7 +19,7 @@
 // B (drain + enqueue) and C (deliver) run serially in fixed shard/edge
 // order. The grid summary digest is therefore byte-identical for ANY
 // grid_threads value — grid_threads is a wall-clock knob, never a behaviour
-// knob (same contract as ScenarioConfig::step_threads).
+// knob.
 #pragma once
 
 #include <array>
@@ -39,13 +39,9 @@ namespace nwade::sim {
 struct GridConfig {
   int rows{1};
   int cols{1};
-  /// Template for every shard. Per-shard seed / vehicle_id_base /
-  /// extra_vehicle_capacity / step_threads are derived by the grid:
-  /// step_threads passes through util::nested_thread_budget so a grid at
-  /// 8 shard threads never stacks inner step pools on top (8 x 4 runs 8
-  /// workers, not 32). Multi-shard grids require the cross4 layout (the
-  /// leg->neighbour mapping below) and the SoA vehicle core
-  /// (!aos_reference; the checkpoint row contract depends on it).
+  /// Template for every shard. Per-shard seed and vehicle_id_base are
+  /// derived by the grid. Multi-shard grids require the cross4 layout (the
+  /// leg->neighbour mapping below).
   ScenarioConfig shard;
   /// Grid-level seed; shard seeds and edge-channel streams derive from it.
   std::uint64_t seed{1};

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <chrono>
 
-#include "util/alloc_stats.h"
 #include "util/log.h"
 
 namespace nwade::sim {
@@ -12,22 +11,11 @@ namespace nwade::sim {
 using protocol::VehicleAttackProfile;
 using protocol::VehicleRole;
 
-namespace {
-/// Fixed chunk sizes for the deterministic phase kernels. Constants — never
-/// derived from the thread count — so chunk boundaries, and therefore any
-/// per-chunk partials merged in chunk order, are identical for every pool
-/// size (see util::WorkerPool::parallel_for).
-constexpr std::size_t kPhysicsChunk = 64;
-constexpr std::size_t kWatchChunk = 16;
-constexpr std::size_t kAuditChunk = 64;
-}  // namespace
-
 World::World(ScenarioConfig config) : World(std::move(config), -1) {}
 
 World::World(ScenarioConfig config, Tick resume_t)
     : config_(std::move(config)),
-      intersection_(traffic::Intersection::build(config_.intersection)),
-      step_pool_(config_.step_threads) {
+      intersection_(traffic::Intersection::build(config_.intersection)) {
   // Resume mode replays construction exactly, except that events which had
   // already fired by the checkpoint burn their sequence number instead of
   // being scheduled (see the private-constructor comment in world.h).
@@ -45,7 +33,6 @@ World::World(ScenarioConfig config, Tick resume_t)
 
   net::NetworkConfig net_cfg = config_.network;
   net_cfg.seed = config_.seed ^ 0x6e657477ULL;
-  net_cfg.quadratic_reference = config_.quadratic_reference;
   net_cfg.registry = &registry_;
   net_cfg.tracer = &tracer_;
   network_ = std::make_unique<net::Network>(queue_, clock_, net_cfg);
@@ -66,29 +53,13 @@ World::World(ScenarioConfig config, Tick resume_t)
       break;
   }
 
-  // One verifier shared by the whole fleet, wired to the run's verify cache
-  // and the per-step batch table (verification is pure and the RSA context
-  // is thread-safe, so sharing changes nothing). The prefetch needs a
-  // cache-key fingerprint (RSA signers only) and a worker pool to feed.
-  im_verifier_ = signer_->verifier_with_cache(verify_cache_, &sig_batch_);
-  batch_verify_ = !config_.aos_reference && step_pool_.thread_count() > 0 &&
-                  im_verifier_ != nullptr &&
-                  im_verifier_->key_fingerprint() != nullptr;
+  im_verifier_ = signer_->verifier_with_cache(verify_cache_);
 
   // Arrival schedule + attacker role assignment.
   traffic::ArrivalGenerator gen(intersection_, config_.vehicles_per_minute,
                                 rng.fork(1));
   auto arrivals = gen.generate(config_.duration_ms);
   assign_attack_roles(arrivals);
-
-  // Any arrival may become a managed vehicle owning one SoA row — plus any
-  // vehicle a grid may hand off into this shard mid-run; reserving for all
-  // of them up front keeps the node-held references stable for the whole
-  // run (VehicleColumns::add_row asserts on this).
-  if (!config_.aos_reference) {
-    columns_.reserve(arrivals.size() +
-                     static_cast<std::size_t>(config_.extra_vehicle_capacity));
-  }
 
   // Intersection manager.
   protocol::ImAttackProfile im_attack;
@@ -208,7 +179,6 @@ void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
   ctx.malicious_ids = &malicious_ids_;
   ctx.registry = &registry_;
   ctx.tracer = &tracer_;
-  ctx.columns = config_.aos_reference ? nullptr : &columns_;
 
   VehicleAttackProfile profile;
   if (const auto it = attack_roles_.find(id); it != attack_roles_.end()) {
@@ -309,83 +279,59 @@ void World::step_legacy(Duration dt_ms) {
   if (legacy_.empty()) return;
   const double dt = static_cast<double>(dt_ms) / 1000.0;
   const auto& limits = intersection_.config().limits;
-  const bool quadratic = config_.quadratic_reference;
-  if (!quadratic) {
-    // Managed vehicles do not move during step_legacy, so one snapshot
-    // serves every legacy vehicle this step.
-    follow_grid_.clear();
-    follow_nodes_.clear();
-    follow_grid_.reserve(vehicles_.size());
-    for (const auto& [oid, v] : vehicles_) {
-      if (v->exited()) continue;
-      follow_grid_.insert(v->position());
-      follow_nodes_.push_back(v.get());
-    }
-    // Legacy positions advance during the loop below (each entry moves as
-    // it is stepped), so this snapshot can lag a neighbour by one step —
-    // at most ~1.3 m at legacy cruise speeds. The query radius absorbs
-    // that; the predicate always reads the live fields through the map.
-    legacy_follow_grid_.clear();
-    legacy_follow_refs_.clear();
-    legacy_follow_grid_.reserve(legacy_.size());
-    for (const auto& [oid, o] : legacy_) {
-      if (o.exited) continue;
-      legacy_follow_grid_.insert(legacy_position(o));
-      legacy_follow_refs_.emplace_back(oid, &o);
-    }
+  // Managed vehicles do not move during step_legacy, so one snapshot serves
+  // every legacy vehicle this step.
+  follow_grid_.clear();
+  follow_nodes_.clear();
+  follow_grid_.reserve(vehicles_.size());
+  for (const auto& [oid, v] : vehicles_) {
+    if (v->exited()) continue;
+    follow_grid_.insert(v->position());
+    follow_nodes_.push_back(v.get());
+  }
+  // Legacy positions advance during the loop below (each entry moves as it
+  // is stepped), so this snapshot can lag a neighbour by one step — at most
+  // ~1.3 m at legacy cruise speeds. The query radius absorbs that; the
+  // predicate always reads the live fields through the stored pointers.
+  legacy_follow_grid_.clear();
+  legacy_follow_refs_.clear();
+  legacy_follow_grid_.reserve(legacy_.size());
+  for (const auto& [oid, o] : legacy_) {
+    if (o.exited) continue;
+    legacy_follow_grid_.insert(legacy_position(o));
+    legacy_follow_refs_.emplace_back(oid, &o);
   }
   for (auto& [id, l] : legacy_) {
     if (l.exited) continue;
-    // Simple car-following: brake for any vehicle ahead on the same route.
+    // Simple car-following: brake for the nearest vehicle ahead on the same
+    // route. Only gaps below the 45 m car-following horizon influence the
+    // speed target, and a same-route vehicle ds metres ahead along the path
+    // lies at most ds + |lateral offset| metres away in the plane (chord <=
+    // arc), so a 55 m disc around the legacy vehicle contains every vehicle
+    // that could matter; one the disc misses has gap >= 45 and changes
+    // neither branch of the target computation.
     double gap = 1e9;
-    if (quadratic) {
-      for (const auto& [oid, v] : vehicles_) {
-        if (v->exited() || v->route_id() != l.route_id) continue;
-        const double ds = v->progress_s() - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
-    } else {
-      // Only gaps below the 45 m car-following horizon influence the speed
-      // target, and a same-route vehicle ds metres ahead along the path lies
-      // at most ds + |lateral offset| metres away in the plane (chord <=
-      // arc), so a 55 m disc around the legacy vehicle contains every
-      // managed vehicle that could matter. A vehicle the disc misses has
-      // gap >= 45 and changes neither branch of the target computation. The
-      // predicate below is the reference scan's, applied verbatim.
-      follow_scratch_.clear();
-      follow_grid_.query_candidates(legacy_position(l), 55.0, follow_scratch_);
-      for (const std::size_t idx : follow_scratch_) {
-        const protocol::VehicleNode* v = follow_nodes_[idx];
-        if (v->exited() || v->route_id() != l.route_id) continue;
-        const double ds = v->progress_s() - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
+    follow_scratch_.clear();
+    follow_grid_.query_candidates(legacy_position(l), 55.0, follow_scratch_);
+    for (const std::size_t idx : follow_scratch_) {
+      const protocol::VehicleNode* v = follow_nodes_[idx];
+      if (v->exited() || v->route_id() != l.route_id) continue;
+      const double ds = v->progress_s() - l.s;
+      if (ds > 0.1) gap = std::min(gap, ds);
     }
-    // Legacy-vs-legacy. Earlier map entries have already moved this step, so
-    // the values read here are live by construction — but the scan only
-    // folds them into a min, which no candidate ordering can change. The
-    // index is therefore used as a pre-filter over a top-of-step snapshot
-    // (never as the iteration), and the predicate reads the live fields:
-    // a neighbour whose ds could fall below the 45 m horizon lies within
-    // 45 m along the path, hence within 45 m in the plane at snapshot time
-    // (chord <= arc, and snapshots only trail live positions), well inside
-    // the 55 m disc.
-    if (quadratic) {
-      for (const auto& [oid, o] : legacy_) {
-        if (oid == id || o.exited || o.route_id != l.route_id) continue;
-        const double ds = o.s - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
-    } else {
-      follow_scratch_.clear();
-      legacy_follow_grid_.query_candidates(legacy_position(l), 55.0,
-                                           follow_scratch_);
-      for (const std::size_t idx : follow_scratch_) {
-        const auto& [oid, o] = legacy_follow_refs_[idx];
-        if (oid == id || o->exited || o->route_id != l.route_id) continue;
-        const double ds = o->s - l.s;
-        if (ds > 0.1) gap = std::min(gap, ds);
-      }
+    // Legacy-vs-legacy. Earlier map entries have already moved this step;
+    // the predicate reads their live fields and only folds them into a min,
+    // which no candidate ordering can change. A neighbour whose ds could
+    // fall below the 45 m horizon lies within 45 m in the plane at snapshot
+    // time (snapshots only trail live positions), well inside the disc.
+    follow_scratch_.clear();
+    legacy_follow_grid_.query_candidates(legacy_position(l), 55.0,
+                                         follow_scratch_);
+    for (const std::size_t idx : follow_scratch_) {
+      const auto& [oid, o] = legacy_follow_refs_[idx];
+      if (oid == id || o->exited || o->route_id != l.route_id) continue;
+      const double ds = o->s - l.s;
+      if (ds > 0.1) gap = std::min(gap, ds);
     }
     double target = l.cruise;
     if (gap < 45.0) target = std::min(target, 0.35 * std::max(0.0, gap - 10.0));
@@ -436,44 +382,31 @@ void World::step_world(Tick now) {
     tracer_.complete("sim", name, now, now, wall_us, "items", items);
   };
 
-  const bool count_allocs = util::alloc_counting_enabled();
-
   phase_begin();
   step_legacy(dt);
   phase_end("phase.legacy", static_cast<std::int64_t>(legacy_.size()));
 
-  // Phase 1: physics for everyone, so watchers later observe a consistent
-  // time-t snapshot regardless of iteration order. The chunked kernel is
-  // byte-identical to this serial loop (see step_physics); aos_reference
-  // keeps the loop verbatim as the equivalence baseline.
+  // Phase 1: physics for everyone, in id order, so watchers later observe a
+  // consistent time-t snapshot.
   phase_begin();
-  if (count_allocs) last_step_allocs_ = {};  // kernels below accumulate
-  if (config_.aos_reference) {
-    for (auto& [id, vehicle] : vehicles_) {
-      if (vehicle->exited()) continue;
-      vehicle->step(now, dt);
-      if (vehicle->exited()) {
-        network_->remove_node(vehicle->node_id());
-        crossing_times_.push_back(now - spawn_times_[id]);
-        record_exit(*vehicle, now);
-      }
+  for (auto& [id, vehicle] : vehicles_) {
+    if (vehicle->exited()) continue;
+    vehicle->step(now, dt);
+    if (vehicle->exited()) {
+      network_->remove_node(vehicle->node_id());
+      crossing_times_.push_back(now - spawn_times_[id]);
+      record_exit(*vehicle, now);
     }
-  } else {
-    step_physics(now, dt);
   }
   phase_end("phase.physics", static_cast<std::int64_t>(vehicles_.size()));
 
   // Phase 2: the neighbourhood watch, staggered to avoid synchronized bursts.
   phase_begin();
-  if (config_.aos_reference) {
-    for (auto& [id, vehicle] : vehicles_) {
-      if (vehicle->exited()) continue;
-      if ((step_index + static_cast<Tick>(id.value)) % watch_every == 0) {
-        vehicle->watch(now);
-      }
+  for (auto& [id, vehicle] : vehicles_) {
+    if (vehicle->exited()) continue;
+    if ((step_index + static_cast<Tick>(id.value)) % watch_every == 0) {
+      vehicle->watch(now);
     }
-  } else {
-    step_watch(now, step_index, watch_every);
   }
   phase_end("phase.watch", static_cast<std::int64_t>(vehicles_.size()));
 
@@ -481,110 +414,12 @@ void World::step_world(Tick now) {
   // legacy vehicles alike; the staging area is excluded).
   if (now % 1000 == 0) {
     phase_begin();
-    const std::size_t audited = step_gap_audit(now);
+    const std::size_t audited = step_gap_audit();
     phase_end("phase.gap_audit", static_cast<std::int64_t>(audited));
   }
 }
 
-void World::step_physics(Tick now, Duration dt) {
-  // Classify the whole fleet from its pre-step state, then execute maximal
-  // runs of side-effect-free vehicles on the pool and everything else
-  // serially at its exact id position. An impure vehicle k therefore
-  // observes ids < k moved and ids > k unmoved — exactly the serial loop's
-  // interleaving — and every piece of shared bookkeeping (metrics, network
-  // membership, crossing times) commits serially in ascending id order.
-  step_nodes_.clear();
-  step_impure_.clear();
-  for (auto& [id, vehicle] : vehicles_) {
-    if (vehicle->exited()) continue;
-    step_nodes_.push_back(vehicle.get());
-    step_impure_.push_back(vehicle->step_has_side_effects(now) ? 1 : 0);
-  }
-  const std::size_t n = step_nodes_.size();
-  step_exited_.assign(n, 0);
-  std::size_t i = 0;
-  while (i < n) {
-    if (step_impure_[i] != 0) {
-      protocol::VehicleNode* v = step_nodes_[i];
-      v->step(now, dt);
-      if (v->exited()) {
-        network_->remove_node(v->node_id());
-        crossing_times_.push_back(now - spawn_times_[v->id()]);
-        record_exit(*v, now);
-      }
-      ++i;
-      continue;
-    }
-    std::size_t j = i;
-    while (j < n && step_impure_[j] == 0) ++j;
-    // Meter only the chunked kernel: the serial merge below appends crossing
-    // times and prunes network membership, which may legitimately allocate.
-    const std::uint64_t allocs0 =
-        util::alloc_counting_enabled() ? util::process_alloc_count() : 0;
-    step_pool_.parallel_for(
-        j - i, kPhysicsChunk, [&, i](std::size_t begin, std::size_t end) {
-          for (std::size_t k = begin; k < end; ++k) {
-            step_exited_[i + k] =
-                step_nodes_[i + k]->step_kinematics(now, dt) ? 1 : 0;
-          }
-        });
-    if (util::alloc_counting_enabled()) {
-      last_step_allocs_.physics += util::process_alloc_count() - allocs0;
-    }
-    for (std::size_t k = i; k < j; ++k) {
-      if (step_exited_[k] == 0) continue;
-      // step() counts its own exit; for the kinematics-only path the merge
-      // owns it, plus the world-side removal and crossing-time append.
-      metrics_.vehicles_exited++;
-      network_->remove_node(step_nodes_[k]->node_id());
-      crossing_times_.push_back(now - spawn_times_[step_nodes_[k]->id()]);
-      record_exit(*step_nodes_[k], now);
-    }
-    i = j;
-  }
-}
-
-void World::step_watch(Tick now, Tick step_index, Tick watch_every) {
-  // Split watch: collect due watchers (pure), fan the read-only sensor
-  // sweeps across the pool, then run every emit serially in id order. An
-  // emit only mutates its own protocol state and sends latency-delayed
-  // messages (delivered by a later queue run even at zero latency), so no
-  // emit can influence another watcher's scan — the serial interleaved
-  // scan/emit loop and this split produce identical runs.
-  watch_due_.clear();
-  for (auto& [id, vehicle] : vehicles_) {
-    if (vehicle->exited()) continue;
-    if ((step_index + static_cast<Tick>(id.value)) % watch_every != 0) continue;
-    if (!vehicle->watch_due(now)) continue;
-    watch_due_.push_back(vehicle.get());
-  }
-  if (watch_due_.empty()) return;
-  // Build the sensor grids once, serially, if stale — so the concurrent
-  // scans below only ever read them. Sense results are exact under any
-  // <= 1-step-stale snapshot (slack padding + live predicates), so forcing
-  // the rebuild here instead of lazily inside the first sense changes
-  // nothing.
-  if (!config_.quadratic_reference && sense_built_epoch_ != position_epoch_) {
-    rebuild_sense_grids();
-  }
-  // Meter only the chunked scan kernel: the serial emits below are protocol
-  // actions (reports, block requests) that allocate by design.
-  const std::uint64_t allocs0 =
-      util::alloc_counting_enabled() ? util::process_alloc_count() : 0;
-  step_pool_.parallel_for(watch_due_.size(), kWatchChunk,
-                          [&](std::size_t begin, std::size_t end) {
-                            for (std::size_t k = begin; k < end; ++k) {
-                              watch_due_[k]->watch_scan(now);
-                            }
-                          });
-  if (util::alloc_counting_enabled()) {
-    last_step_allocs_.watch += util::process_alloc_count() - allocs0;
-  }
-  for (protocol::VehicleNode* v : watch_due_) v->watch_emit(now);
-}
-
-std::size_t World::step_gap_audit(Tick now) {
-  (void)now;
+std::size_t World::step_gap_audit() {
   audit_probes_.clear();
   audit_probes_.reserve(vehicles_.size() + legacy_.size());
   for (const auto& [id, v] : vehicles_) {
@@ -622,112 +457,22 @@ std::size_t World::step_gap_audit(Tick now) {
     }
     return a.pos.distance_to(b.pos) < 1.5;
   };
-  const std::size_t n = audit_probes_.size();
-  if (config_.quadratic_reference) {
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i + 1; j < n; ++j) {
-        if (violates(audit_probes_[i], audit_probes_[j])) ++gap_violations_;
-      }
-    }
-  } else if (config_.aos_reference) {
-    // The pre-chunking indexed path, kept verbatim as the baseline: a 2 m
-    // grid visits every pair closer than 2 m exactly once — a superset of
-    // the audited < 1.5 m pairs — and the count is order-independent, so
-    // the tally matches the all-pairs sweep.
-    geom::SpatialHash audit_grid(2.0);
-    audit_grid.reserve(n);
-    for (const AuditProbe& p : audit_probes_) audit_grid.insert(p.pos);
-    audit_grid.for_each_near_pair([&](std::size_t i, std::size_t j) {
-      if (violates(audit_probes_[i], audit_probes_[j])) ++gap_violations_;
-    });
-  } else {
-    // Chunked variant over the member grid (capacity-retaining clear): each
-    // chunk counts its probes' j > i partners within a 2 m disc — the same
-    // pair set the near-pair sweep visits — into a per-chunk partial, and
-    // the partials merge in chunk order. The total is an order-independent
-    // integer sum, so it is byte-identical to both reference paths at any
-    // thread count.
-    audit_grid_.clear();
-    audit_grid_.reserve(n);
-    for (const AuditProbe& p : audit_probes_) audit_grid_.insert(p.pos);
-    const std::size_t chunks = n == 0 ? 0 : (n + kAuditChunk - 1) / kAuditChunk;
-    audit_partials_.assign(chunks, 0);
-    step_pool_.parallel_for(
-        n, kAuditChunk, [&](std::size_t begin, std::size_t end) {
-          static thread_local std::vector<std::size_t> cand;
-          int violations = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            cand.clear();
-            audit_grid_.query_candidates(audit_probes_[i].pos, 2.0, cand);
-            for (const std::size_t j : cand) {
-              if (j <= i) continue;
-              if (violates(audit_probes_[i], audit_probes_[j])) ++violations;
-            }
-          }
-          audit_partials_[begin / kAuditChunk] = violations;
-        });
-    for (const int partial : audit_partials_) gap_violations_ += partial;
-  }
-  return n;
-}
-
-void World::prefetch_block_signatures(Tick until) {
-  sig_batch_.clear();
-  batch_keys_.clear();
-  batch_payloads_.clear();
-  batch_sigs_.clear();
-  batch_seen_.clear();
-  const crypto::Digest* fp = im_verifier_->key_fingerprint();
-  // Collect the distinct, not-yet-cached signatures among the block
-  // deliveries due this step. The pending set is stable until the event
-  // queue runs, so the Bytes the spans point into cannot move.
-  network_->for_each_pending_due(until, [&](const net::Envelope& env) {
-    const chain::Block* block = nullptr;
-    if (const auto* bb =
-            dynamic_cast<const protocol::BlockBroadcast*>(env.msg.get())) {
-      block = bb->block.get();
-    } else if (const auto* br =
-                   dynamic_cast<const protocol::BlockResponse*>(env.msg.get())) {
-      block = br->block.get();
-    }
-    if (block == nullptr || block->signature.empty()) return;
-    Bytes payload = block->signed_payload();
-    const crypto::Digest key =
-        crypto::SigVerifyCache::key_of(*fp, payload, block->signature);
-    if (!batch_seen_.insert(key).second) return;      // duplicate this wave
-    if (verify_cache_.peek(key).has_value()) return;  // cached (stats-free probe)
-    batch_keys_.push_back(key);
-    batch_payloads_.push_back(std::move(payload));
-    batch_sigs_.push_back(&block->signature);
+  // A fresh 2 m grid holding only this audit's probes visits every pair
+  // closer than 2 m exactly once — a superset of the audited < 1.5 m pairs —
+  // and the count is order-independent.
+  geom::SpatialHash audit_grid(2.0);
+  audit_grid.reserve(audit_probes_.size());
+  for (const AuditProbe& p : audit_probes_) audit_grid.insert(p.pos);
+  audit_grid.for_each_near_pair([&](std::size_t i, std::size_t j) {
+    if (violates(audit_probes_[i], audit_probes_[j])) ++gap_violations_;
   });
-  if (batch_keys_.empty()) return;
-  batch_ok_.assign(batch_keys_.size(), 0);
-  // One wave across the pool; the modexp dominates, so one key per chunk.
-  step_pool_.parallel_for(
-      batch_keys_.size(), 1, [&](std::size_t begin, std::size_t end) {
-        for (std::size_t k = begin; k < end; ++k) {
-          batch_ok_[k] =
-              im_verifier_->verify_uncached(batch_payloads_[k], *batch_sigs_[k])
-                  ? 1
-                  : 0;
-        }
-      });
-  // Merge in collection order. Receivers still perform the counted cache
-  // lookups and stores themselves (the table is consulted only after a
-  // counted miss), so cache contents AND stats match an unprefetched run
-  // byte-for-byte.
-  for (std::size_t k = 0; k < batch_keys_.size(); ++k) {
-    sig_batch_.put(batch_keys_[k], batch_ok_[k] != 0);
-  }
+  return audit_probes_.size();
 }
 
 void World::run_until(Tick t) {
   const bool tracing = util::trace::tracing_active() && tracer_.enabled();
   while (stepped_until_ < t) {
     stepped_until_ += config_.step_ms;
-    // Batch-verify the signatures about to be delivered this step before the
-    // event queue runs them (RSA + worker pool only; a no-op otherwise).
-    if (batch_verify_) prefetch_block_signatures(stepped_until_);
     if (tracing) {
       using wall_clock = std::chrono::steady_clock;
       const auto t0 = wall_clock::now();
@@ -844,40 +589,16 @@ constexpr double kSenseSlackM = 20.0;
 void World::rebuild_sense_grids() const {
   // Iterating the id-sorted maps makes insertion indices ascend with vehicle
   // id, and query_candidates returns ascending indices — so the indexed scan
-  // below emits observations in the reference path's exact order. Skipping
+  // emits observations in ascending id order. Skipping
   // exited vehicles here is safe because exit is permanent: they could never
   // pass the live filters again.
   sense_managed_grid_.clear();
   sense_managed_ids_.clear();
   sense_managed_grid_.reserve(vehicles_.size());
-  if (!config_.aos_reference) {
-    // Stream the SoA columns: rows append in ascending id order and exited
-    // rows carry active == 0, so this walk sees exactly the map walk's
-    // vehicles in the same order — while touching three contiguous arrays
-    // instead of every node. The position arithmetic replicates
-    // VehicleNode::position() expression-for-expression (same branches,
-    // same operation order), so the inserted points are bit-identical.
-    assert(columns_.size() == vehicles_.size());
-    const std::size_t rows = columns_.size();
-    for (std::size_t r = 0; r < rows; ++r) {
-      if (columns_.active[r] == 0) continue;
-      const auto& route =
-          intersection_.route(static_cast<int>(columns_.route[r]));
-      const double s = columns_.s[r];
-      const geom::Vec2 on_path = route.path.point_at(s);
-      const double lateral = columns_.lateral[r];
-      const geom::Vec2 pos =
-          lateral == 0.0 ? on_path
-                         : on_path + route.path.tangent_at(s).perp() * lateral;
-      sense_managed_grid_.insert(pos);
-      sense_managed_ids_.push_back(VehicleId{columns_.id[r]});
-    }
-  } else {
-    for (const auto& [id, v] : vehicles_) {
-      if (v->exited()) continue;
-      sense_managed_grid_.insert(v->position());
-      sense_managed_ids_.push_back(id);
-    }
+  for (const auto& [id, v] : vehicles_) {
+    if (v->exited()) continue;
+    sense_managed_grid_.insert(v->position());
+    sense_managed_ids_.push_back(id);
   }
   sense_legacy_grid_.clear();
   sense_legacy_ids_.clear();
@@ -902,56 +623,28 @@ void World::sense_around_into(geom::Vec2 center, double radius,
                               VehicleId exclude,
                               std::vector<protocol::Observation>& out) const {
   out.clear();
-  if (config_.quadratic_reference) {
-    for (const auto& [id, v] : vehicles_) {
-      if (id == exclude || v->exited()) continue;
-      // Vehicles still staged at the zone edge (no plan, not yet moving) are
-      // invisible; a plan-less vehicle that moves — degraded mode — must be
-      // seen so watchers and the IM's unmanaged tracking can cover it.
-      if (!v->has_plan() && v->progress_s() <= 0.5) continue;
-      const geom::Vec2 pos = v->position();
-      if (pos.distance_to(center) > radius) continue;
-      out.push_back(protocol::Observation{id, v->traits(), v->ground_truth()});
-    }
-    for (const auto& [id, l] : legacy_) {
-      if (id == exclude || l.exited) continue;
-      const geom::Vec2 pos = legacy_position(l);
-      if (pos.distance_to(center) > radius) continue;
-      traffic::VehicleStatus st;
-      st.position = pos;
-      st.speed_mps = l.v;
-      st.heading_rad = intersection_.route(l.route_id).path.heading_at(l.s);
-      out.push_back(protocol::Observation{id, l.traits, st});
-    }
-    return;
-  }
-
   if (sense_built_epoch_ != position_epoch_) rebuild_sense_grids();
   // Candidate supersets from the snapshot; every filter below re-runs the
-  // reference path's exact predicate on live state, in the same id order.
-  // Thread-local scratch: the watch phase fans scans across the pool, and
-  // each thread's buffer warms up once and is then reused allocation-free.
-  // Reserved generously up front so a growing population doesn't trigger a
-  // capacity bump from inside the allocation-gated scan kernel; candidate
-  // counts beyond the reserve still work, they just grow the buffer.
-  static thread_local std::vector<std::size_t> sense_scratch;
-  if (sense_scratch.capacity() == 0) sense_scratch.reserve(4096);
-  sense_scratch.clear();
+  // exact predicate on live state, in ascending id order.
+  sense_scratch_.clear();
   sense_managed_grid_.query_candidates(center, radius + kSenseSlackM,
-                                       sense_scratch);
-  for (const std::size_t idx : sense_scratch) {
+                                       sense_scratch_);
+  for (const std::size_t idx : sense_scratch_) {
     const VehicleId id = sense_managed_ids_[idx];
     const auto& v = vehicles_.find(id)->second;
     if (id == exclude || v->exited()) continue;
+    // Vehicles still staged at the zone edge (no plan, not yet moving) are
+    // invisible; a plan-less vehicle that moves — degraded mode — must be
+    // seen so watchers and the IM's unmanaged tracking can cover it.
     if (!v->has_plan() && v->progress_s() <= 0.5) continue;
     const geom::Vec2 pos = v->position();
     if (pos.distance_to(center) > radius) continue;
     out.push_back(protocol::Observation{id, v->traits(), v->ground_truth()});
   }
-  sense_scratch.clear();
+  sense_scratch_.clear();
   sense_legacy_grid_.query_candidates(center, radius + kSenseSlackM,
-                                      sense_scratch);
-  for (const std::size_t idx : sense_scratch) {
+                                      sense_scratch_);
+  for (const std::size_t idx : sense_scratch_) {
     const VehicleId id = sense_legacy_ids_[idx];
     const LegacyVehicle& l = legacy_.find(id)->second;
     if (id == exclude || l.exited) continue;

@@ -9,7 +9,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -26,7 +25,6 @@
 #include "traffic/types.h"
 #include "util/telemetry.h"
 #include "util/trace.h"
-#include "util/worker_pool.h"
 
 namespace nwade::sim {
 
@@ -66,36 +64,11 @@ struct ScenarioConfig {
   /// and schedules managed traffic around virtual trajectory predictions.
   double legacy_fraction{0.0};
 
-  /// true = every O(V^2) all-pairs sweep (ground-truth gap audit, legacy
-  /// car-following lookup, sensor queries, and the network broadcast scan)
-  /// runs the original brute-force loop instead of the uniform-grid spatial
-  /// index. Kept purely as the equivalence/bench baseline (same pattern as
-  /// SchedulerConfig::linear_reference_scan); both modes make bit-identical
-  /// decisions, so full runs produce byte-identical traces.
-  bool quadratic_reference{false};
-
   /// true = the World's event tracer records the sim-time span/instant
   /// timeline (docs/OBSERVABILITY.md) retrievable via take_trace(). Tracing
   /// only observes — it never draws randomness or changes decisions — so
   /// trace_golden digests are byte-identical either way.
   bool trace_enabled{false};
-
-  /// Worker threads for the intra-world phase kernels (chunked physics /
-  /// watch scans / gap audit) and the batched signature prefetch. <= 1 runs
-  /// everything inline on the calling thread. Chunk boundaries and every
-  /// merge are fixed, so results are byte-identical for ANY value — this is
-  /// a wall-clock knob, never a behaviour knob. Deliberately not part of the
-  /// checkpoint envelope: a resumed world may pick a different thread count
-  /// and still continue bit-exactly.
-  int step_threads{1};
-
-  /// true = per-vehicle hot state stays inside each node (array-of-structs)
-  /// and step_world runs the original serial per-vehicle loops with inline
-  /// signature verification. Kept purely as the equivalence/bench baseline
-  /// for the SoA + chunked execution path (same pattern as
-  /// quadratic_reference); both modes produce byte-identical runs. Also not
-  /// checkpointed.
-  bool aos_reference{false};
 
   // --- grid-sharding hooks (sim::Grid) ---------------------------------------
   /// Ids this world hands out start at vehicle_id_base + 1; a grid assigns
@@ -103,11 +76,6 @@ struct ScenarioConfig {
   /// unique across shards. 0 keeps the classic 1..N single-world numbering
   /// bit-identical. Part of the checkpoint envelope.
   std::uint64_t vehicle_id_base{0};
-  /// Extra SoA rows reserved beyond this world's own arrivals, for vehicles
-  /// injected mid-run (grid boundary handoffs). Serialized so a restored
-  /// world re-reserves identically and node-held row references never
-  /// dangle (traffic::VehicleColumns::add_row asserts on spare capacity).
-  std::uint64_t extra_vehicle_capacity{0};
 };
 
 /// Aggregated outcome of one run.
@@ -161,26 +129,10 @@ class World final : public protocol::SensorProvider {
   // --- SensorProvider -------------------------------------------------------
   std::vector<protocol::Observation> sense_around(geom::Vec2 center, double radius,
                                                   VehicleId exclude) const override;
-  /// Allocation-free variant: fills `out` (cleared first). Thread-safe for
-  /// concurrent callers once the grids are built for the current position
-  /// epoch (step_watch pre-builds them before fanning scans out).
+  /// Allocation-free variant once warm: fills `out` (cleared first).
   void sense_around_into(geom::Vec2 center, double radius, VehicleId exclude,
                          std::vector<protocol::Observation>& out) const override;
   std::optional<protocol::Observation> observe(VehicleId id) const override;
-
-  /// Heap allocations the chunked kernels of the most recent step performed
-  /// (process-wide, so pool threads are covered) — measured only in
-  /// NWADE_COUNT_ALLOCS builds (always zero otherwise, and always zero in
-  /// aos_reference mode, which has no chunked kernels). `physics` meters the
-  /// pure-run kinematics fan-outs; `watch` meters the sensor-scan fan-out.
-  /// The serial merges and emits around them (crossing-time appends,
-  /// incident reports, block requests) allocate by design and are excluded.
-  /// The alloc-gate test asserts the warmed kernels never allocate.
-  struct StepAllocCounts {
-    std::uint64_t physics{0};
-    std::uint64_t watch{0};
-  };
-  StepAllocCounts last_step_allocs() const { return last_step_allocs_; }
 
   // --- grid-sharding hooks (sim::Grid) ----------------------------------------
   /// A vehicle that left this intersection, captured at its exit commit
@@ -219,8 +171,7 @@ class World final : public protocol::SensorProvider {
   bool import_blacklist(VehicleId suspect);
   /// How many arrivals (managed + legacy) this scenario generates — re-runs
   /// the construction-time Poisson draw deterministically without building a
-  /// world. Grids use it to size extra_vehicle_capacity and to keep
-  /// vehicle_id_base strides collision-free.
+  /// world. Grids use it to keep vehicle_id_base strides collision-free.
   static std::size_t arrival_count(const ScenarioConfig& config);
 
   // --- introspection ----------------------------------------------------------
@@ -240,10 +191,10 @@ class World final : public protocol::SensorProvider {
   /// Observational hook, called after every completed step with the new
   /// simulated time. Steps land on the fixed step_ms lattice regardless of
   /// how callers slice run_until, so the call schedule — and anything a
-  /// listener derives from world state — is independent of slicing and
-  /// thread counts. The listener runs on the stepping thread and is not
-  /// checkpointed; never attach one to a shard inside a Grid (shards step on
-  /// pool threads — subscribe at the Grid instead).
+  /// listener derives from world state — is independent of slicing. The
+  /// listener runs on the stepping thread and is not checkpointed; never
+  /// attach one to a shard inside a Grid (shards step on pool threads —
+  /// subscribe at the Grid instead).
   void set_step_listener(std::function<void(Tick)> fn) {
     step_listener_ = std::move(fn);
   }
@@ -288,18 +239,7 @@ class World final : public protocol::SensorProvider {
   geom::Vec2 legacy_position(const LegacyVehicle& l) const;
   void step_world(Tick now);
   void rebuild_sense_grids() const;
-
-  // Chunked phase kernels (byte-identical to the serial aos_reference loops;
-  // see step_world for the equivalence argument).
-  void step_physics(Tick now, Duration dt);
-  void step_watch(Tick now, Tick step_index, Tick watch_every);
-  std::size_t step_gap_audit(Tick now);
-  /// Batched signature verification: collects the distinct uncached
-  /// (key, payload, signature) triples among block deliveries due this step,
-  /// verifies them across the worker pool, and parks the verdicts in
-  /// sig_batch_ where RsaVerifier::verify picks them up after a (counted)
-  /// cache miss — cache contents and stats identical to inline verification.
-  void prefetch_block_signatures(Tick until);
+  std::size_t step_gap_audit();
 
   ScenarioConfig config_;
   traffic::Intersection intersection_;
@@ -315,11 +255,6 @@ class World final : public protocol::SensorProvider {
   protocol::Metrics metrics_;
   std::set<VehicleId> malicious_ids_;
   std::map<VehicleId, protocol::VehicleAttackProfile> attack_roles_;
-  /// SoA home for every managed vehicle's kinematic hot state; row r belongs
-  /// to the r-th spawned vehicle (rows append in ascending id order, exited
-  /// rows stay with active == 0). Reserved up front for every arrival so the
-  /// node-held references never dangle. Empty in aos_reference mode.
-  traffic::VehicleColumns columns_;
   std::unique_ptr<protocol::ImNode> im_;
   std::map<VehicleId, std::unique_ptr<protocol::VehicleNode>> vehicles_;
   std::map<VehicleId, LegacyVehicle> legacy_;
@@ -343,24 +278,11 @@ class World final : public protocol::SensorProvider {
   /// function, so the verdicts are identical either way.
   crypto::SigVerifyCache verify_cache_;
 
-  /// Worker pool behind the chunked phase kernels and the signature
-  /// prefetch; 0 workers (step_threads <= 1) runs everything inline.
-  util::WorkerPool step_pool_;
-  /// Per-step side-table of prefetched signature verdicts; cleared every
-  /// step, recomputable, never checkpointed.
-  crypto::SigBatchTable sig_batch_;
-  /// One verifier shared by every vehicle (verification is pure and the RSA
-  /// context is thread-safe, so sharing changes nothing); wired to
-  /// verify_cache_ and sig_batch_.
+  /// One verifier shared by every vehicle (verification is pure, so sharing
+  /// changes nothing), wired to verify_cache_.
   std::shared_ptr<const crypto::Verifier> im_verifier_;
-  bool batch_verify_{false};  ///< prefetch on: RSA + worker pool + !aos_reference
 
-  // Reused phase scratch (chunked kernels): cleared and refilled every step
-  // so the warmed steady state never touches the heap.
-  std::vector<protocol::VehicleNode*> step_nodes_;
-  std::vector<std::uint8_t> step_impure_;
-  std::vector<std::uint8_t> step_exited_;
-  std::vector<protocol::VehicleNode*> watch_due_;
+  /// Gap-audit probes, refilled once per simulated second.
   struct AuditProbe {
     geom::Vec2 pos;
     double s{0};
@@ -368,15 +290,6 @@ class World final : public protocol::SensorProvider {
     bool parked_off_lane{false};
   };
   std::vector<AuditProbe> audit_probes_;
-  geom::SpatialHash audit_grid_{2.0};  ///< capacity-retaining, cleared per audit
-  std::vector<int> audit_partials_;
-  // Batch-verify collection scratch (prefetch_block_signatures).
-  std::vector<crypto::Digest> batch_keys_;
-  std::vector<Bytes> batch_payloads_;
-  std::vector<const Bytes*> batch_sigs_;
-  std::vector<std::uint8_t> batch_ok_;
-  std::unordered_set<crypto::Digest, crypto::DigestKeyHash> batch_seen_;
-  StepAllocCounts last_step_allocs_;
 
   /// Bumped whenever positions may have changed (step_world entry, spawns);
   /// the lazily rebuilt sensor grids below are keyed on it.
@@ -391,6 +304,8 @@ class World final : public protocol::SensorProvider {
   mutable geom::SpatialHash sense_legacy_grid_{64.0};
   mutable std::vector<VehicleId> sense_legacy_ids_;
   mutable std::uint64_t sense_built_epoch_{~0ULL};
+  /// Reused candidate buffer for sense_around_into.
+  mutable std::vector<std::size_t> sense_scratch_;
 
   // Car-following lookup index: managed positions snapshotted at the top of
   // each step_legacy call (managed vehicles do not move during it).

@@ -24,8 +24,7 @@
 //
 // Apart from `heartbeat.wall_us` (stamped through util::WallClock, so tests
 // substitute FakeWallClock) every frame byte is a pure function of the
-// simulated run: streams are byte-identical across step_threads and
-// grid_threads values.
+// simulated run: streams are byte-identical across grid_threads values.
 #pragma once
 
 #include <cstdint>

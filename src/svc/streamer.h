@@ -6,9 +6,9 @@
 // lattice, independent of run_until slicing — and everything it emits
 // except heartbeat wall stamps is derived from deterministic simulation
 // state. With a FakeWallClock (or no clock at all) the emitted bytes are a
-// pure function of the scenario: byte-identical across step_threads and
-// grid_threads, and the cumulative fold of the metrics deltas equals the
-// end-of-run MetricsSnapshot export. Tests hold the plane to exactly that.
+// pure function of the scenario: byte-identical across grid_threads values
+// and run_until slicings, and the cumulative fold of the metrics deltas
+// equals the end-of-run MetricsSnapshot export. Tests hold the plane to exactly that.
 //
 // Per cadence point the streamer emits, in fixed order: health row(s),
 // status (grid only), one metrics delta (MetricsSnapshot::diff against the

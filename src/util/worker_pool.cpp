@@ -32,14 +32,13 @@ void WorkerPool::for_each(std::size_t count,
     return;
   }
 
-  std::uint64_t job;
   {
     std::lock_guard<std::mutex> lock(mu_);
     task_ = &task;
     count_ = count;
     completed_ = 0;
     next_.store(0, std::memory_order_relaxed);
-    job = ++generation_;
+    ++generation_;
   }
   work_ready_.notify_all();
 
@@ -54,14 +53,11 @@ void WorkerPool::for_each(std::size_t count,
 
   std::unique_lock<std::mutex> lock(mu_);
   completed_ += done_here;
-  if (completed_ == count_) {
-    task_ = nullptr;
-  } else {
-    job_done_.wait(lock, [this, job] {
-      return completed_ == count_ || generation_ != job;
-    });
-    task_ = nullptr;
-  }
+  // Every index being done is not enough: a worker that joined this job may
+  // still be about to claim from next_, and must leave before the next job
+  // resets next_ and `task` (a caller's stack object) goes out of scope.
+  job_done_.wait(lock, [this] { return completed_ == count_ && joined_ == 0; });
+  task_ = nullptr;
 }
 
 void WorkerPool::worker_loop() {
@@ -78,6 +74,7 @@ void WorkerPool::worker_loop() {
       task = task_;
       count = count_;
       last_job = generation_;
+      ++joined_;
     }
 
     std::size_t done_here = 0;
@@ -90,7 +87,8 @@ void WorkerPool::worker_loop() {
 
     std::lock_guard<std::mutex> lock(mu_);
     completed_ += done_here;
-    if (completed_ == count_) job_done_.notify_all();
+    --joined_;
+    if (completed_ == count_ && joined_ == 0) job_done_.notify_all();
   }
 }
 

@@ -11,14 +11,9 @@
 // Not a general task graph: for_each is a barrier, nested submission from
 // inside a task deadlocks by design simplicity, and tasks must not throw.
 //
-// Oversubscription policy (one level of parallelism at a time): when an
-// outer pool fans work units that each own an inner pool — sim::Grid
-// stepping one World per shard task, each World owning a step_threads pool —
-// the inner pools must be sized with nested_thread_budget() so only ONE
-// level actually spawns threads. A grid at 8 shard threads x 4 step threads
-// must run 8 workers, not 32: the inner pools collapse to inline execution
-// (thread_count() == 0), which is byte-identical by the pool contract and
-// avoids both oversubscription and the nested-submission deadlock above.
+// One level of parallelism: the pool fans out whole units — grid shards,
+// campaign cells, fan-out verifications — and never runs inside a World
+// step, which is serial.
 #pragma once
 
 #include <atomic>
@@ -31,15 +26,6 @@
 #include <vector>
 
 namespace nwade::util {
-
-/// The oversubscription policy (see the header comment): the thread budget
-/// for an inner pool whose work units are fanned out by an outer pool of
-/// `outer_threads`. Once the outer level actually parallelizes
-/// (outer_threads > 1), every inner pool runs inline; a serial outer level
-/// passes the requested inner budget through unchanged.
-constexpr int nested_thread_budget(int outer_threads, int inner_threads) {
-  return outer_threads > 1 ? 1 : inner_threads;
-}
 
 class WorkerPool {
  public:
@@ -70,34 +56,6 @@ class WorkerPool {
     return out;
   }
 
-  /// Chunked range execution: calls fn(begin, end) for each half-open chunk
-  /// [k*chunk_size, min((k+1)*chunk_size, count)). Chunk boundaries depend
-  /// only on (count, chunk_size) — never on the thread count — so any
-  /// per-chunk partial results a caller accumulates and merges in chunk
-  /// order are bit-identical for any pool size. Like for_each this is a
-  /// barrier; `fn` must only touch per-chunk state. The inline path (pool of
-  /// size <= 1) runs the chunks on the calling thread without materializing
-  /// a std::function, so steady-state callers stay allocation-free.
-  template <typename F>
-  void parallel_for(std::size_t count, std::size_t chunk_size, F&& fn) {
-    if (count == 0) return;
-    if (chunk_size == 0) chunk_size = 1;
-    const std::size_t chunks = (count + chunk_size - 1) / chunk_size;
-    if (threads_.empty() || chunks == 1) {
-      for (std::size_t k = 0; k < chunks; ++k) {
-        const std::size_t begin = k * chunk_size;
-        const std::size_t end = begin + chunk_size < count ? begin + chunk_size : count;
-        fn(begin, end);
-      }
-      return;
-    }
-    for_each(chunks, [&](std::size_t k) {
-      const std::size_t begin = k * chunk_size;
-      const std::size_t end = begin + chunk_size < count ? begin + chunk_size : count;
-      fn(begin, end);
-    });
-  }
-
  private:
   void worker_loop();
   void run_inline(std::size_t count, const std::function<void(std::size_t)>& task);
@@ -111,6 +69,7 @@ class WorkerPool {
   std::size_t count_{0};
   std::atomic<std::size_t> next_{0};  ///< next unclaimed index
   std::size_t completed_{0};
+  int joined_{0};  ///< workers that took the current job and have not left it
   std::uint64_t generation_{0};  ///< bumps per job so workers never re-run one
   bool stopping_{false};
 };

@@ -24,7 +24,7 @@ CampaignConfig small_campaign() {
   return cfg;
 }
 
-std::string temp_journal(const char* name) {
+std::string temp_journal(const std::string& name) {
   const char* dir = std::getenv("TMPDIR");
   return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
 }
@@ -52,7 +52,12 @@ void write_file(const std::string& path, const Bytes& blob) {
 class CampaignResumeTest : public ::testing::Test {
  protected:
   void TearDown() override { std::remove(journal_.c_str()); }
-  std::string journal_ = temp_journal("nwade_campaign_resume_test.journal");
+  // One journal per test: ctest runs each test as its own process, in
+  // parallel under -j, so a shared path would race.
+  std::string journal_ = temp_journal(
+      std::string("nwade_campaign_resume_test.") +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".journal");
 };
 
 TEST_F(CampaignResumeTest, ColdJournalMatchesPlainRunByteForByte) {

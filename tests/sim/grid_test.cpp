@@ -1,9 +1,8 @@
 // Unit coverage for the multi-intersection lattice (sim::Grid,
 // docs/GRID.md): boundary-handoff mechanics, outage deferral on the
-// reliable lane, gossip blacklist propagation, the nested-thread budget,
-// grid checkpoint round-trips (including unknown-section tolerance and
-// corrupt-blob rejection), and the rejection of a blacklisted vehicle at
-// plan-request time.
+// reliable lane, gossip blacklist propagation, grid checkpoint round-trips
+// (including unknown-section tolerance and corrupt-blob rejection), and the
+// rejection of a blacklisted vehicle at plan-request time.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -61,21 +60,6 @@ TEST(Grid, BoundaryScheduleIndependentOfRunUntilSlicing) {
             run_digest(corridor(2, 120, 30'000)));
 }
 
-TEST(Grid, NestedThreadBudgetKeepsOneLevelOfParallelism) {
-  // 8 grid threads x 4 step threads must run 8 workers, not 32: the inner
-  // per-shard pools collapse to inline stepping (worker_pool.h policy).
-  GridConfig cfg = corridor(2, 60, 10'000);
-  cfg.grid_threads = 8;
-  cfg.shard.step_threads = 4;
-  Grid parallel(cfg);
-  EXPECT_EQ(parallel.shard(0, 0).config().step_threads, 1);
-  EXPECT_EQ(parallel.shard(0, 1).config().step_threads, 1);
-  // A serial grid passes the full inner budget through.
-  cfg.grid_threads = 1;
-  Grid serial(cfg);
-  EXPECT_EQ(serial.shard(0, 0).config().step_threads, 4);
-}
-
 TEST(Grid, EdgeOutageDefersHandoffsButNeverDrops) {
   GridConfig cfg = corridor(2, 240, 60'000);
   cfg.edge.outages.push_back(net::EdgeOutage{5'000, 55'000});
@@ -131,7 +115,6 @@ TEST(Grid, ImportedBlacklistRejectsInjectedVehicle) {
   cfg.vehicles_per_minute = 30;
   cfg.duration_ms = 60'000;
   cfg.seed = 9;
-  cfg.extra_vehicle_capacity = 4;
   World w(cfg);
   w.run_until(1'000);
   const VehicleId intruder{777'777};

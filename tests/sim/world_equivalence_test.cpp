@@ -1,12 +1,13 @@
-// Lock-step equivalence: the spatial-index stepping paths (sensor queries,
-// legacy car-following lookup, ground-truth gap audit, broadcast range scan)
-// must make bit-identical decisions to the quadratic_reference brute-force
-// loops they replaced. Two worlds with identical configs — one per mode —
-// are stepped side by side through each golden-trace scenario, comparing the
-// full deterministic summary and live sense_around() answers at every
-// checkpoint, not just at the end.
+// Sensor-query equivalence: World::sense_around pre-filters through a
+// uniform-grid snapshot, and must answer exactly what the brute-force
+// all-vehicles scan it replaced would. A test-local quadratic oracle is
+// checked against the indexed world at fixed probes every 5 s through each
+// golden-trace scenario. (The other indexed sweeps — car-following, gap
+// audit, broadcast range scan — are locked by the trace-golden digests,
+// which fold their outcomes.)
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -48,29 +49,7 @@ std::vector<std::pair<std::string, ScenarioConfig>> golden_scenarios() {
   return out;
 }
 
-// %a renders doubles exactly (hex float), so equality below means
-// bit-identical, not merely close.
-std::string fingerprint(const RunSummary& s) {
-  char buf[640];
-  std::snprintf(
-      buf, sizeof(buf),
-      "spawned=%d exited=%d thr=%a cross=%a active=%d gaps=%d "
-      "legacy=%d/%d inc=%d glob=%d alerts=%d false=%d degraded=%d blocks=%d "
-      "sent=%llu delivered=%llu dropped=%llu oor=%llu bytes=%llu",
-      s.metrics.vehicles_spawned, s.metrics.vehicles_exited, s.throughput_vpm,
-      s.mean_crossing_ms, s.active_at_end, s.min_ground_truth_gap_violations,
-      s.legacy_spawned, s.legacy_exited, s.metrics.incident_reports,
-      s.metrics.global_reports, s.metrics.evacuation_alerts,
-      s.metrics.false_alarm_evacuations, s.metrics.degraded_entries,
-      s.metrics.blocks_published,
-      static_cast<unsigned long long>(s.net_stats.packets_sent),
-      static_cast<unsigned long long>(s.net_stats.packets_delivered),
-      static_cast<unsigned long long>(s.net_stats.packets_dropped),
-      static_cast<unsigned long long>(s.net_stats.packets_out_of_range),
-      static_cast<unsigned long long>(s.net_stats.bytes_sent));
-  return buf;
-}
-
+// %a renders doubles exactly (hex float), so equality means bit-identical.
 std::string render(const std::vector<protocol::Observation>& obs) {
   std::string out;
   char buf[256];
@@ -82,6 +61,34 @@ std::string render(const std::vector<protocol::Observation>& obs) {
                   o.status.position.x, o.status.position.y,
                   o.status.speed_mps, o.status.heading_rad);
     out += buf;
+  }
+  return out;
+}
+
+// The brute-force sense the spatial index replaced: every live vehicle in
+// ascending id order, managed first, then legacy, under the exact predicate
+// World::sense_around re-applies to its grid candidates. Managed ground
+// truth comes through vehicle(id); legacy vehicles are reachable only through
+// observe(id), over the scenario's id range 1..arrival_count.
+std::vector<protocol::Observation> oracle_sense(World& world, geom::Vec2 center,
+                                                double radius) {
+  std::vector<protocol::Observation> out;
+  for (const VehicleId id : world.vehicle_ids()) {
+    const protocol::VehicleNode* v = world.vehicle(id);
+    if (v->exited()) continue;
+    // Staged vehicles (no plan, not yet moving) are invisible.
+    if (!v->has_plan() && v->progress_s() <= 0.5) continue;
+    if (v->position().distance_to(center) > radius) continue;
+    out.push_back(protocol::Observation{id, v->traits(), v->ground_truth()});
+  }
+  const auto managed = world.vehicle_ids();
+  const std::size_t arrivals = World::arrival_count(world.config());
+  for (std::uint64_t raw = 1; raw <= arrivals; ++raw) {
+    const VehicleId id{raw};
+    if (std::binary_search(managed.begin(), managed.end(), id)) continue;
+    const auto obs = world.observe(id);
+    if (!obs || obs->status.position.distance_to(center) > radius) continue;
+    out.push_back(*obs);
   }
   return out;
 }
@@ -99,81 +106,21 @@ TEST(WorldEquivalence, QuadraticAndIndexedRunsLockStep) {
 
   for (const auto& [name, cfg] : golden_scenarios()) {
     SCOPED_TRACE(name);
-    ScenarioConfig quad_cfg = cfg;
-    quad_cfg.quadratic_reference = true;
-    ScenarioConfig idx_cfg = cfg;
-    idx_cfg.quadratic_reference = false;
-    World quad(quad_cfg);
-    World indexed(idx_cfg);
-
+    World world(cfg);
+    int observed = 0;
     for (Tick t = 5'000; t <= cfg.duration_ms; t += 5'000) {
-      quad.run_until(t);
-      indexed.run_until(t);
-      ASSERT_EQ(fingerprint(quad.summary()), fingerprint(indexed.summary()))
-          << name << " diverged at t=" << t;
+      world.run_until(t);
       for (const auto& p : probes) {
-        ASSERT_EQ(render(quad.sense_around(p.center, p.radius, VehicleId{})),
-                  render(indexed.sense_around(p.center, p.radius, VehicleId{})))
+        const auto indexed = world.sense_around(p.center, p.radius, VehicleId{});
+        observed += static_cast<int>(indexed.size());
+        ASSERT_EQ(render(oracle_sense(world, p.center, p.radius)),
+                  render(indexed))
             << name << " sense_around mismatch at t=" << t << " center=("
             << p.center.x << "," << p.center.y << ") r=" << p.radius;
       }
     }
-    EXPECT_EQ(quad.vehicle_ids(), indexed.vehicle_ids());
+    EXPECT_GT(observed, 0);  // the probes actually saw traffic
   }
-}
-
-// The SoA vehicle columns and the chunked phase kernels replaced the
-// retained AoS stepping loops. Like the spatial index, they are only
-// allowed to reorganize memory and work — never to change a result byte.
-// `aos_reference` pins the old layout (per-node kinematic members, serial
-// monolithic loops); the default runs the SoA columns with fixed-boundary
-// chunk execution. Lock-step through every golden scenario.
-TEST(WorldEquivalence, SoAColumnsAndAoSReferenceRunLockStep) {
-  const struct {
-    geom::Vec2 center;
-    double radius;
-  } probes[] = {
-      {{0.0, 0.0}, 20.0},   {{0.0, 0.0}, 45.0},  {{32.0, 0.0}, 45.0},
-      {{0.0, -64.0}, 30.0}, {{-40.0, 40.0}, 120.0},
-  };
-
-  for (const auto& [name, cfg] : golden_scenarios()) {
-    SCOPED_TRACE(name);
-    ScenarioConfig aos_cfg = cfg;
-    aos_cfg.aos_reference = true;
-    World aos(aos_cfg);
-    World soa(cfg);
-
-    for (Tick t = 5'000; t <= cfg.duration_ms; t += 5'000) {
-      aos.run_until(t);
-      soa.run_until(t);
-      ASSERT_EQ(fingerprint(aos.summary()), fingerprint(soa.summary()))
-          << name << " diverged at t=" << t;
-      for (const auto& p : probes) {
-        ASSERT_EQ(render(aos.sense_around(p.center, p.radius, VehicleId{})),
-                  render(soa.sense_around(p.center, p.radius, VehicleId{})))
-            << name << " sense_around mismatch at t=" << t << " center=("
-            << p.center.x << "," << p.center.y << ") r=" << p.radius;
-      }
-    }
-    EXPECT_EQ(aos.vehicle_ids(), soa.vehicle_ids());
-  }
-}
-
-// The broadcast pre-filter must also leave the channel accounting untouched:
-// packets_out_of_range counts every non-receiver the same way the all-pairs
-// scan did. (Covered by the fingerprint above, asserted separately so a
-// regression names the field.)
-TEST(WorldEquivalence, OutOfRangeAccountingMatches) {
-  ScenarioConfig cfg = golden(traffic::IntersectionKind::kCross4, 120, 7);
-  cfg.duration_ms = 30'000;
-  ScenarioConfig quad_cfg = cfg;
-  quad_cfg.quadratic_reference = true;
-  const RunSummary a = World(quad_cfg).run();
-  const RunSummary b = World(cfg).run();
-  EXPECT_EQ(a.net_stats.packets_out_of_range, b.net_stats.packets_out_of_range);
-  EXPECT_EQ(a.net_stats.packets_sent, b.net_stats.packets_sent);
-  EXPECT_EQ(a.net_stats.packets_delivered, b.net_stats.packets_delivered);
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // TelemetryStreamer determinism contract (ctest label: obs-chaos — the
-// sweeps run multi-threaded Worlds/Grids, so the TSan tree vets them):
+// sweeps run multi-threaded Grids, so the TSan tree vets them):
 // streaming is purely observational. With a fake wall clock the emitted
 // frame bytes are a pure function of the scenario — byte-identical across
-// step_threads, grid_threads, and run_until slicing — the cumulative fold
+// grid_threads and run_until slicing — the cumulative fold
 // of the metric deltas equals the end-of-run MetricsSnapshot export, and a
 // checkpoint/restore splices into the stream without a seam.
 #include <gtest/gtest.h>
@@ -26,7 +26,7 @@ using sim::GridConfig;
 using sim::ScenarioConfig;
 using sim::World;
 
-ScenarioConfig scenario(int step_threads) {
+ScenarioConfig scenario() {
   ScenarioConfig cfg;
   cfg.intersection.kind = traffic::IntersectionKind::kCross4;
   cfg.vehicles_per_minute = 90;
@@ -35,7 +35,6 @@ ScenarioConfig scenario(int step_threads) {
   cfg.attack = protocol::AttackSetting{"V1", 1, false, 1, 0};
   cfg.attack_time = 8'000;
   cfg.trace_enabled = true;  // detection-timeline trace frames must flow
-  cfg.step_threads = step_threads;
   return cfg;
 }
 
@@ -82,20 +81,16 @@ std::string stream_world(const ScenarioConfig& cfg, Duration cadence_ms,
   return ring.joined();
 }
 
-TEST(Streamer, WorldFramesByteIdenticalAcrossStepThreadsAndSlicing) {
-  const std::string reference = stream_world(scenario(1), 1'000, 1'000);
+TEST(Streamer, WorldFramesByteIdenticalAcrossSlicing) {
+  const std::string reference = stream_world(scenario(), 1'000, 1'000);
   ASSERT_FALSE(reference.empty());
-  for (const int threads : {2, 4, 8}) {
-    EXPECT_EQ(stream_world(scenario(threads), 1'000, 1'000), reference)
-        << "step_threads=" << threads;
-  }
   // Odd run_until slicing must not move, add, or drop a single byte.
-  EXPECT_EQ(stream_world(scenario(4), 1'000, 700), reference);
-  EXPECT_EQ(stream_world(scenario(1), 1'000, 30'000), reference);
+  EXPECT_EQ(stream_world(scenario(), 1'000, 700), reference);
+  EXPECT_EQ(stream_world(scenario(), 1'000, 30'000), reference);
 }
 
 TEST(Streamer, WorldStreamCarriesDetectionTimelineAndWellFormedFrames) {
-  const std::string bytes = stream_world(scenario(1), 1'000, 1'000);
+  const std::string bytes = stream_world(scenario(), 1'000, 1'000);
   FrameParser parser;
   parser.feed(bytes);
   std::string json;
@@ -125,7 +120,7 @@ TEST(Streamer, WorldStreamCarriesDetectionTimelineAndWellFormedFrames) {
 }
 
 TEST(Streamer, FinalTotalFrameEqualsEndOfRunExport) {
-  World world(scenario(1));
+  World world(scenario());
   StreamerConfig scfg;
   scfg.cadence_ms = 1'000;
   TelemetryStreamer streamer(scfg);
@@ -147,7 +142,7 @@ TEST(Streamer, FinalTotalFrameEqualsEndOfRunExport) {
 }
 
 TEST(Streamer, RejectsOffLatticeCadence) {
-  World world(scenario(1));
+  World world(scenario());
   StreamerConfig scfg;
   scfg.cadence_ms = 150;  // not a multiple of step_ms = 100
   TelemetryStreamer streamer(scfg);
@@ -209,7 +204,7 @@ TEST(Streamer, GridFramesByteIdenticalAcrossGridThreadsAndSlicing) {
 }
 
 TEST(Streamer, CheckpointRestoreContinuesStreamWithoutSeam) {
-  const ScenarioConfig cfg = scenario(1);
+  const ScenarioConfig cfg = scenario();
   const Duration cadence = 1'000;
   const Tick cut = 10'000;  // a cadence point: serve checkpoints only there
 
@@ -263,7 +258,7 @@ TEST(Streamer, CheckpointRestoreContinuesStreamWithoutSeam) {
 }
 
 TEST(Streamer, CatchUpBringsLateJoinerToCurrentState) {
-  World world(scenario(1));
+  World world(scenario());
   StreamerConfig scfg;
   scfg.cadence_ms = 1'000;
   TelemetryStreamer streamer(scfg);
@@ -288,7 +283,7 @@ TEST(Streamer, CatchUpBringsLateJoinerToCurrentState) {
 }
 
 TEST(Streamer, MultipleSinksReceiveIdenticalBytes) {
-  World world(scenario(1));
+  World world(scenario());
   StreamerConfig scfg;
   scfg.cadence_ms = 1'000;
   TelemetryStreamer streamer(scfg);

@@ -4,12 +4,8 @@
 // the SANITIZE=thread build vets the synchronization.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <mutex>
 #include <numeric>
-#include <utility>
 
 #include "util/worker_pool.h"
 
@@ -21,20 +17,6 @@ TEST(WorkerPool, InlineModeSpawnsNoThreads) {
   WorkerPool pool1(1);
   EXPECT_EQ(pool0.thread_count(), 0);
   EXPECT_EQ(pool1.thread_count(), 0);
-}
-
-TEST(WorkerPool, NestedThreadBudgetKeepsOneLevelOfParallelism) {
-  // Oversubscription policy (worker_pool.h): a parallel outer loop forces
-  // every inner pool inline — an 8-shard grid over 4-thread worlds runs 8
-  // workers, not 32. Only a serial outer loop passes the inner budget
-  // through.
-  EXPECT_EQ(nested_thread_budget(8, 4), 1);
-  EXPECT_EQ(nested_thread_budget(2, 16), 1);
-  EXPECT_EQ(nested_thread_budget(1, 4), 4);
-  EXPECT_EQ(nested_thread_budget(0, 4), 4);
-  // An inline inner pool stays inline either way.
-  EXPECT_EQ(nested_thread_budget(8, 1), 1);
-  EXPECT_EQ(nested_thread_budget(1, 1), 1);
 }
 
 TEST(WorkerPool, EveryIndexRunsExactlyOnce) {
@@ -84,64 +66,6 @@ TEST(WorkerPool, EmptyJobReturnsImmediately) {
   bool ran = false;
   pool.for_each(0, [&](std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
-}
-
-TEST(WorkerPool, ParallelForChunkBoundariesIgnoreThreadCount) {
-  // The chunk set must be a pure function of (count, chunk_size): every pool
-  // size visits exactly the same [begin, end) ranges, each exactly once.
-  const std::size_t counts[] = {0, 1, 63, 64, 65, 129, 1000};
-  const std::size_t chunk_sizes[] = {1, 16, 64, 1024};
-  for (const std::size_t count : counts) {
-    for (const std::size_t chunk : chunk_sizes) {
-      std::vector<std::pair<std::size_t, std::size_t>> expected;
-      WorkerPool inline_pool(1);
-      inline_pool.parallel_for(count, chunk, [&](std::size_t b, std::size_t e) {
-        expected.emplace_back(b, e);
-      });
-      for (const int threads : {2, 4, 8}) {
-        WorkerPool pool(threads);
-        std::mutex mu;
-        std::vector<std::pair<std::size_t, std::size_t>> got;
-        pool.parallel_for(count, chunk, [&](std::size_t b, std::size_t e) {
-          std::lock_guard<std::mutex> lock(mu);
-          got.emplace_back(b, e);
-        });
-        std::sort(got.begin(), got.end());  // completion order scrambles
-        ASSERT_EQ(got, expected) << "count=" << count << " chunk=" << chunk
-                                 << " threads=" << threads;
-      }
-    }
-  }
-}
-
-TEST(WorkerPool, ParallelForPartialMergeIsBitIdenticalAcrossPoolSizes) {
-  // Per-chunk float partials merged in chunk order: float addition is
-  // order-sensitive, so bit equality across pool sizes proves both the
-  // boundaries and the merge order are thread-count independent.
-  constexpr std::size_t kCount = 777;
-  constexpr std::size_t kChunk = 64;
-  const auto value = [](std::size_t i) {
-    return 1.0 / (static_cast<double>(i) + 0.3);
-  };
-  const auto run = [&](int threads) {
-    WorkerPool pool(threads);
-    const std::size_t chunks = (kCount + kChunk - 1) / kChunk;
-    std::vector<double> partials(chunks, 0.0);
-    pool.parallel_for(kCount, kChunk, [&](std::size_t b, std::size_t e) {
-      double acc = 0;
-      for (std::size_t i = b; i < e; ++i) acc += value(i);
-      partials[b / kChunk] = acc;
-    });
-    double total = 0;
-    for (const double p : partials) total += p;
-    return total;
-  };
-  const double expected = run(1);
-  for (const int threads : {2, 4, 8}) {
-    const double got = run(threads);
-    EXPECT_EQ(std::memcmp(&got, &expected, sizeof(double)), 0)
-        << "pool size " << threads << ": " << got << " vs " << expected;
-  }
 }
 
 }  // namespace
