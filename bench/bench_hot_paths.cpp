@@ -1,14 +1,12 @@
-// Perf-regression driver for the two hot paths this repo optimized:
+// Perf-regression driver for the hot paths this repo optimized:
 //
-//   A. schedule() under dense traffic (120 veh/min, 4-way cross): the
-//      linear reservation sweep vs the indexed IntervalTable path
-//      (SchedulerConfig::linear_reference_scan toggles the old scan, which
-//      is kept in-tree exactly so this comparison stays honest).
-//   B. block-verification fan-out across many receivers: the pre-PR shape
-//      (every receiver deserializes its own wire copy, rebuilds the Merkle
-//      tree, and pays a full RSA modexp — emulated by disabling the
-//      process-wide SigVerifyCache) vs the shared-block fanout_verify path
-//      (one Block object, cached payload/tree, one modexp for the fleet).
+//   A. schedule() under dense traffic (120 veh/min, 4-way cross) on the
+//      indexed IntervalTable path.
+//   B. block verification by 64 receivers of one broadcast, run serially as
+//      a World runs it: every receiver checks the one shared Block through
+//      an uncached `verifier()` (one modexp each) vs through
+//      `verifier_with_cache` on a fresh SigVerifyCache per rep (one modexp
+//      for the fleet, the rest cache hits).
 //   C. the telemetry tax: the same seeded World run with the event tracer
 //      off vs on. The envelope carries the measured overhead as a top-level
 //      telemetry_overhead_pct field (docs/OBSERVABILITY.md quotes it).
@@ -20,18 +18,15 @@
 #include <cstring>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "aim/scheduler.h"
 #include "chain/block.h"
-#include "chain/fanout.h"
 #include "crypto/signer.h"
 #include "crypto/verify_cache.h"
 #include "support.h"
 #include "traffic/arrivals.h"
 #include "util/rng.h"
-#include "util/worker_pool.h"
 
 namespace {
 
@@ -45,11 +40,9 @@ struct Options {
 
 bench::TimingStats time_schedule_dense(const traffic::Intersection& ix,
                                        const std::vector<traffic::Arrival>& arrivals,
-                                       bool linear, int warmup, int reps) {
+                                       int warmup, int reps) {
   return bench::timed_median(warmup, reps, [&] {
-    aim::SchedulerConfig cfg;
-    cfg.linear_reference_scan = linear;
-    aim::ReservationScheduler sched(ix, cfg);
+    aim::ReservationScheduler sched(ix);
     std::uint64_t vid = 1;
     for (const auto& a : arrivals) {
       auto plan = sched.schedule(VehicleId{vid++}, a.route_id, a.traits, a.time,
@@ -59,7 +52,7 @@ bench::TimingStats time_schedule_dense(const traffic::Intersection& ix,
   });
 }
 
-// --- phase B: block-verification fan-out ------------------------------------
+// --- phase B: one broadcast block verified by every receiver -----------------
 
 chain::Block make_block(const crypto::Signer& signer, int n_plans) {
   std::vector<aim::TravelPlan> plans;
@@ -78,46 +71,38 @@ chain::Block make_block(const crypto::Signer& signer, int n_plans) {
                                signer);
 }
 
-/// Pre-PR receiver shape: each vehicle holds its own wire copy of the block,
-/// so every verification deserializes, rebuilds the payload and Merkle tree,
-/// and runs an uncached modexp. Capacity 0 turns the SigVerifyCache into a
-/// pass-through, reproducing the seed cost model through today's API.
-bench::TimingStats time_fanout_uncached(const Bytes& wire,
-                                        const crypto::Verifier& verifier,
-                                        int receivers, int warmup, int reps) {
-  auto& cache = crypto::SigVerifyCache::instance();
-  const std::size_t saved_capacity = cache.capacity();
-  cache.set_capacity(0);
-  auto stats = bench::timed_median(warmup, reps, [&] {
-    for (int r = 0; r < receivers; ++r) {
-      auto copy = chain::Block::deserialize(wire);
-      const bool ok = copy && copy->verify_signature(verifier) &&
-                      copy->verify_merkle();
-      if (!ok) std::abort();  // a bench that verifies nothing times nothing
-    }
-  });
-  cache.set_capacity(saved_capacity);
-  return stats;
+/// Every receiver's Algorithm-1 structural checks on the shared block.
+void verify_by_receivers(const chain::Block& block, const crypto::Verifier& verifier,
+                         int receivers) {
+  for (int r = 0; r < receivers; ++r) {
+    // A bench that verifies nothing times nothing.
+    if (!block.verify_signature(verifier) || !block.verify_merkle()) std::abort();
+  }
 }
 
-/// Post-PR shape: one shared Block, fanout_verify over a worker pool. The
-/// cache is reset (entries AND stats) every rep so each measurement pays
-/// the one real modexp the fleet shares — not a free ride on the previous
-/// rep — and the hit/miss counters describe only the rep being timed.
-bench::TimingStats time_fanout_cached(const chain::Block& block,
-                                      const crypto::Verifier& verifier,
-                                      int receivers, int pool_threads,
-                                      int warmup, int reps) {
-  std::vector<const crypto::Verifier*> verifiers(
-      static_cast<std::size_t>(receivers), &verifier);
-  util::WorkerPool pool(pool_threads);
-  auto& cache = crypto::SigVerifyCache::instance();
+bench::TimingStats time_receivers_uncached(const chain::Block& block,
+                                           const crypto::Signer& signer,
+                                           int receivers, int warmup, int reps) {
+  const auto verifier = signer.verifier();
+  return bench::timed_median(warmup, reps,
+                             [&] { verify_by_receivers(block, *verifier, receivers); });
+}
+
+/// Every rep gets a fresh cache (entries AND stats), so each measurement
+/// pays the one real modexp the fleet shares — not a free ride on the
+/// previous rep. Caches and their verifiers are built before timing starts.
+bench::TimingStats time_receivers_cached(const chain::Block& block,
+                                         const crypto::Signer& signer,
+                                         int receivers, int warmup, int reps) {
+  std::vector<std::unique_ptr<crypto::SigVerifyCache>> caches;
+  std::vector<std::shared_ptr<const crypto::Verifier>> verifiers;
+  for (int i = 0; i < warmup + reps; ++i) {
+    caches.push_back(std::make_unique<crypto::SigVerifyCache>());
+    verifiers.push_back(signer.verifier_with_cache(*caches.back()));
+  }
+  std::size_t next = 0;
   return bench::timed_median(warmup, reps, [&] {
-    cache.reset();
-    const auto results = chain::fanout_verify(block, verifiers, pool);
-    for (const auto ok : results) {
-      if (!ok) std::abort();
-    }
+    verify_by_receivers(block, *verifiers[next++], receivers);
   });
 }
 
@@ -155,32 +140,21 @@ int run(const Options& opt) {
   const auto ix = traffic::Intersection::build(ix_cfg);
   traffic::ArrivalGenerator gen(ix, 120, Rng(2026));
   const auto arrivals = gen.generate(sched_window_ms);
-  std::printf("phase A: scheduling %zu dense arrivals (linear vs indexed)\n",
-              arrivals.size());
+  std::printf("phase A: scheduling %zu dense arrivals\n", arrivals.size());
+  const auto sched_indexed = time_schedule_dense(ix, arrivals, warmup, reps);
 
-  const auto sched_linear =
-      time_schedule_dense(ix, arrivals, /*linear=*/true, warmup, reps);
-  const auto sched_indexed =
-      time_schedule_dense(ix, arrivals, /*linear=*/false, warmup, reps);
-  const double sched_speedup =
-      sched_indexed.median_ms > 0 ? sched_linear.median_ms / sched_indexed.median_ms
-                                  : 0;
-
-  std::printf("phase B: %d-receiver fan-out, RSA-%d (uncached vs cached)\n",
+  std::printf("phase B: %d receivers verify one block, RSA-%d (uncached vs cached)\n",
               receivers, rsa_bits);
   Rng rng(7);
   const auto signer = crypto::RsaSigner::generate(rng, rsa_bits);
-  const auto verifier = signer->verifier();
   const chain::Block block = make_block(*signer, plans_per_block);
-  const Bytes wire = block.serialize();
 
-  const auto fan_uncached =
-      time_fanout_uncached(wire, *verifier, receivers, warmup, reps);
-  const auto fan_cached_1 =
-      time_fanout_cached(block, *verifier, receivers, /*pool=*/1, warmup, reps);
-  const double fan_speedup = fan_cached_1.median_ms > 0
-                                 ? fan_uncached.median_ms / fan_cached_1.median_ms
-                                 : 0;
+  const auto recv_uncached =
+      time_receivers_uncached(block, *signer, receivers, warmup, reps);
+  const auto recv_cached = time_receivers_cached(block, *signer, receivers, warmup, reps);
+  const double recv_speedup = recv_cached.median_ms > 0
+                                  ? recv_uncached.median_ms / recv_cached.median_ms
+                                  : 0;
 
   const Duration world_ms = opt.smoke ? 30'000 : 120'000;
   std::printf("phase C: %lld ms World run, tracer off vs on\n",
@@ -195,27 +169,14 @@ int run(const Options& opt) {
                 world_untraced.median_ms
           : 0;
 
-  std::vector<std::string> phases = {
-      bench::json_phase("schedule_dense_linear", sched_linear),
+  const std::vector<std::string> phases = {
       bench::json_phase("schedule_dense_indexed", sched_indexed),
-      bench::json_speedup("schedule_dense", sched_speedup),
-      bench::json_phase("fanout_verify_uncached", fan_uncached),
-      bench::json_phase("fanout_verify_cached_pool1", fan_cached_1),
-      bench::json_speedup("fanout_verify", fan_speedup),
+      bench::json_phase("receivers_verify_uncached", recv_uncached),
+      bench::json_phase("receivers_verify_cached", recv_cached),
+      bench::json_speedup("receivers_verify", recv_speedup),
       bench::json_phase("world_run_untraced", world_untraced),
       bench::json_phase("world_run_traced", world_traced),
   };
-
-  // A multi-threaded pool point when the host has cores to spare. Kept out
-  // of the headline speedup: determinism, not parallelism, is its contract.
-  const unsigned hw = std::thread::hardware_concurrency();
-  if (!opt.smoke && hw > 1) {
-    const int pool_n = static_cast<int>(hw);
-    const auto fan_cached_n =
-        time_fanout_cached(block, *verifier, receivers, pool_n, warmup, reps);
-    phases.push_back(bench::json_phase(
-        "fanout_verify_cached_pool" + std::to_string(pool_n), fan_cached_n));
-  }
 
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t_start)
@@ -250,10 +211,9 @@ int run(const Options& opt) {
     std::printf("smoke OK: envelope round-trips, parses, and reports the "
                 "telemetry overhead\n");
   } else {
-    std::printf("schedule_dense speedup: %.2fx (linear %.2f ms -> indexed %.2f ms)\n",
-                sched_speedup, sched_linear.median_ms, sched_indexed.median_ms);
-    std::printf("fanout_verify speedup:  %.2fx (uncached %.2f ms -> cached %.2f ms)\n",
-                fan_speedup, fan_uncached.median_ms, fan_cached_1.median_ms);
+    std::printf("schedule_dense:         %.2f ms\n", sched_indexed.median_ms);
+    std::printf("receivers_verify speedup: %.2fx (uncached %.2f ms -> cached %.2f ms)\n",
+                recv_speedup, recv_uncached.median_ms, recv_cached.median_ms);
     std::printf("telemetry overhead:     %.2f%% (untraced %.2f ms -> traced %.2f ms)\n",
                 telemetry_overhead_pct, world_untraced.median_ms,
                 world_traced.median_ms);

@@ -28,17 +28,6 @@ std::optional<Tick> IntervalTable::latest_blocking_end(Tick begin, Tick end) con
   return std::nullopt;
 }
 
-std::optional<Tick> IntervalTable::latest_blocking_end_linear(Tick begin,
-                                                              Tick end) const {
-  std::optional<Tick> max_end;
-  for (const Interval& r : intervals_) {
-    if (begin < r.end && r.begin < end) {
-      if (!max_end || r.end > *max_end) max_end = r.end;
-    }
-  }
-  return max_end;
-}
-
 void IntervalTable::erase_owner(VehicleId id) {
   const auto removed = std::erase_if(
       intervals_, [id](const Interval& r) { return r.owner == id; });

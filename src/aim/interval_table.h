@@ -39,10 +39,6 @@ class IntervalTable {
   /// scheduler's historical strict-inequality sweep). nullopt = no overlap.
   std::optional<Tick> latest_blocking_end(Tick begin, Tick end) const;
 
-  /// Reference implementation of the same query via a full linear sweep.
-  /// Kept for the equivalence suite (SchedulerConfig::linear_reference_scan).
-  std::optional<Tick> latest_blocking_end_linear(Tick begin, Tick end) const;
-
   /// Drops every interval owned by `id`.
   void erase_owner(VehicleId id);
 

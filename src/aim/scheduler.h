@@ -31,10 +31,6 @@ struct SchedulerConfig {
   double min_cruise_mps{4.0};
   /// Give-up bound for the feasibility search (defensive; rarely hit).
   int max_push_iterations{400};
-  /// Test-only: answer blocking queries with the historical O(n) linear
-  /// sweep instead of the indexed prefix-max search, so the equivalence
-  /// suite can prove the indexed tables behavior-preserving.
-  bool linear_reference_scan{false};
 };
 
 /// Snapshot of a vehicle mid-crossing, used for evacuation replanning.

@@ -8,20 +8,19 @@
 // R_i     Merkle root over the window's travel plans (plans ride along as
 //         the leaves, so receivers can re-derive and check R_i)
 //
-// Derived values (signed payload, hash, Merkle tree, wire size) are
-// memoized: a broadcast block is verified by every receiver and hashed by
-// every chain append, so recomputing them per call made block fan-out the
-// simulator's crypto hot path. The header fields stay public (the attack
-// tests tamper with them directly); each cache therefore snapshots the
-// inputs it was computed from and re-validates by comparison, so mutation
-// through a public field can never be observed as a stale answer. The plan
-// list is the one exception: it is private behind plans()/mutable_plans()
-// because re-serializing every plan per query just to validate a cache
-// would cost what the cache saves.
+// A Block is an immutable value: its derived values (signed payload, hash,
+// Merkle tree, wire size) are computed once, at construction, and every
+// holder shares one object through `BlockPtr`. A broadcast block is verified
+// by every receiver and appended to every receiver's store, so all of them
+// read the same object instead of copying it.
+//
+// There are three ways to build one: `package` (the IM signs a window),
+// `deserialize` (wire and checkpoint bytes), and the public
+// `Block(Header, plans)` constructor, which derives without checking
+// anything — forged blocks in the attack tests are built through it.
 #pragma once
 
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -36,102 +35,83 @@ namespace nwade::chain {
 /// Sequence number of a block within one intersection's chain (genesis = 0).
 using BlockSeq = std::uint64_t;
 
-struct Block {
-  Bytes signature;               ///< s_i
-  crypto::Digest prev_hash{};    ///< h_{i-1}
-  Tick timestamp{0};             ///< tau_i
-  crypto::Digest merkle_root{};  ///< R_i
-  BlockSeq seq{0};
-  /// Vehicles whose earlier plans are void (confirmed threats). Carried in
-  /// every block (and covered by the signature) so vehicles that join after
-  /// an evacuation alert do not treat a revoked plan as live when checking
-  /// new blocks for conflicts.
-  std::vector<VehicleId> revoked;
+class Block {
+ public:
+  struct Header {
+    Bytes signature;               ///< s_i
+    crypto::Digest prev_hash{};    ///< h_{i-1}
+    Tick timestamp{0};             ///< tau_i
+    crypto::Digest merkle_root{};  ///< R_i
+    BlockSeq seq{0};
+    /// Vehicles whose earlier plans are void (confirmed threats). Carried in
+    /// every block (and covered by the signature) so vehicles that join after
+    /// an evacuation alert do not treat a revoked plan as live when checking
+    /// new blocks for conflicts.
+    std::vector<VehicleId> revoked;
+  };
 
-  Block() = default;
-  Block(const Block& other);
-  Block(Block&& other) noexcept;
-  Block& operator=(const Block& other);
-  Block& operator=(Block&& other) noexcept;
-
-  /// The window's travel plans (the Merkle leaves).
-  const std::vector<aim::TravelPlan>& plans() const { return plans_; }
-
-  /// Mutable access to the plan list; drops every plan-derived cache
-  /// (Merkle tree, wire size). Writes through a retained reference after
-  /// other const calls are not tracked — re-call for further mutation.
-  std::vector<aim::TravelPlan>& mutable_plans();
-
-  /// Replaces the plan list wholesale.
-  void set_plans(std::vector<aim::TravelPlan> plans);
-
-  /// The bytes that s_i signs: <seq, h_{i-1}, tau_i, R_i, revoked>.
-  Bytes signed_payload() const;
-
-  /// SHA-256 over the header (signature + signed payload); the next block's
-  /// h_{i-1}.
-  crypto::Digest hash() const;
+  /// Derives payload, hash and Merkle tree from the given fields as they
+  /// are; checks nothing (a mismatched root or signature fails verify_*).
+  Block(Header header, std::vector<aim::TravelPlan> plans);
 
   /// Builds and signs a block over a window's plans.
   static Block package(BlockSeq seq, const crypto::Digest& prev_hash, Tick timestamp,
                        std::vector<aim::TravelPlan> plans, const crypto::Signer& signer,
                        std::vector<VehicleId> revoked = {});
 
+  const Header& header() const { return header_; }
+  const Bytes& signature() const { return header_.signature; }
+  const crypto::Digest& prev_hash() const { return header_.prev_hash; }
+  Tick timestamp() const { return header_.timestamp; }
+  const crypto::Digest& merkle_root() const { return header_.merkle_root; }
+  BlockSeq seq() const { return header_.seq; }
+  const std::vector<VehicleId>& revoked() const { return header_.revoked; }
+
+  /// The window's travel plans (the Merkle leaves).
+  const std::vector<aim::TravelPlan>& plans() const { return plans_; }
+
+  /// The bytes that s_i signs: <seq, h_{i-1}, tau_i, R_i, revoked>.
+  const Bytes& signed_payload() const { return payload_; }
+
+  /// SHA-256 over the header (signature + signed payload); the next block's
+  /// h_{i-1}.
+  const crypto::Digest& hash() const { return hash_; }
+
   /// Signature check against the intersection manager's public key.
   bool verify_signature(const crypto::Verifier& verifier) const;
 
-  /// Recomputes the Merkle root from the plans and compares with
-  /// `merkle_root`.
-  bool verify_merkle() const;
+  /// Compares the Merkle root derived from the plans with `merkle_root`.
+  bool verify_merkle() const { return tree_.root() == header_.merkle_root; }
 
   /// The plan for a given vehicle inside this block, if present.
   const aim::TravelPlan* plan_for(VehicleId id) const;
 
   /// Merkle membership proof for the plan at `index` (see MerkleTree).
-  crypto::MerkleProof prove_plan(std::size_t index) const;
+  crypto::MerkleProof prove_plan(std::size_t index) const { return tree_.prove(index); }
 
   Bytes serialize() const;
   static std::optional<Block> deserialize(const Bytes& data);
 
-  /// Approximate wire size (for network-load accounting).
-  std::size_t wire_size() const;
+  /// Exact serialized size, serialize().size() (network-load accounting).
+  std::size_t wire_size() const { return wire_size_; }
 
  private:
-  /// Everything the header-derived caches were computed from.
-  struct HeaderSnapshot {
-    Bytes signature;
-    crypto::Digest prev_hash{};
-    Tick timestamp{0};
-    crypto::Digest merkle_root{};
-    BlockSeq seq{0};
-    std::vector<VehicleId> revoked;
-  };
+  Block(Header header, std::vector<aim::TravelPlan> plans, crypto::MerkleTree tree);
 
-  static std::shared_ptr<const crypto::MerkleTree> build_tree(
-      const std::vector<aim::TravelPlan>& plans);
+  /// Fills payload_, hash_ and wire_size_ from header_ and plans_.
+  void derive();
+  static Bytes payload_of(const Header& header);
+  static crypto::MerkleTree tree_of(const std::vector<aim::TravelPlan>& plans);
 
-  /// Compares the live header fields against the snapshot; on any change,
-  /// recaptures and drops the header-derived caches. cache_mu_ must be held.
-  void revalidate_header_locked() const;
-  const Bytes& payload_locked() const;
-  const crypto::MerkleTree& tree_locked() const;
-
+  Header header_;
   std::vector<aim::TravelPlan> plans_;
-
-  // Memoized derived values. The mutex makes concurrent const access safe
-  // (the worker pool fans block verifications across threads); the first
-  // caller computes, the rest reuse.
-  mutable std::mutex cache_mu_;
-  mutable bool snapshot_valid_{false};
-  mutable HeaderSnapshot snapshot_;
-  mutable bool payload_valid_{false};
-  mutable Bytes payload_cache_;
-  mutable bool hash_valid_{false};
-  mutable crypto::Digest hash_cache_{};
-  mutable bool wire_valid_{false};
-  mutable std::size_t wire_size_cache_{0};
-  /// Shared, not copied, across Block copies (the tree is immutable).
-  mutable std::shared_ptr<const crypto::MerkleTree> tree_cache_;
+  crypto::MerkleTree tree_;
+  Bytes payload_;
+  crypto::Digest hash_{};
+  std::size_t wire_size_{0};
 };
+
+/// The one shared handle every store, message and node holds.
+using BlockPtr = std::shared_ptr<const Block>;
 
 }  // namespace nwade::chain

@@ -13,17 +13,17 @@ const char* chain_error_name(ChainError e) {
   return "?";
 }
 
-Result<void, ChainError> BlockStore::append(const Block& block,
+Result<void, ChainError> BlockStore::append(BlockPtr block,
                                             const crypto::Verifier& verifier) {
-  if (!block.verify_signature(verifier)) return ChainError::kBadSignature;
-  if (!block.verify_merkle()) return ChainError::kBadMerkleRoot;
+  if (!block->verify_signature(verifier)) return ChainError::kBadSignature;
+  if (!block->verify_merkle()) return ChainError::kBadMerkleRoot;
   if (!blocks_.empty()) {
-    const Block& prev = blocks_.back();
-    if (block.seq != prev.seq + 1) return ChainError::kNonMonotonicSeq;
-    if (block.prev_hash != prev.hash()) return ChainError::kBrokenLinkage;
-    if (block.timestamp < prev.timestamp) return ChainError::kStaleTimestamp;
+    const Block& prev = *blocks_.back();
+    if (block->seq() != prev.seq() + 1) return ChainError::kNonMonotonicSeq;
+    if (block->prev_hash() != prev.hash()) return ChainError::kBrokenLinkage;
+    if (block->timestamp() < prev.timestamp()) return ChainError::kStaleTimestamp;
   }
-  blocks_.push_back(block);
+  blocks_.push_back(std::move(block));
   while (blocks_.size() > max_depth_) blocks_.pop_front();
   return Result<void, ChainError>::ok();
 }
@@ -40,9 +40,9 @@ std::vector<BlockSeq> BlockStore::missing_before(BlockSeq incoming,
   return out;
 }
 
-const Block* BlockStore::by_seq(BlockSeq seq) const {
-  for (const Block& b : blocks_) {
-    if (b.seq == seq) return &b;
+BlockPtr BlockStore::by_seq(BlockSeq seq) const {
+  for (const BlockPtr& b : blocks_) {
+    if (b->seq() == seq) return b;
   }
   return nullptr;
 }
@@ -50,25 +50,27 @@ const Block* BlockStore::by_seq(BlockSeq seq) const {
 void BlockStore::checkpoint_save(ByteWriter& w) const {
   w.u64(max_depth_);
   w.u32(static_cast<std::uint32_t>(blocks_.size()));
-  for (const Block& b : blocks_) w.bytes(b.serialize());
+  for (const BlockPtr& b : blocks_) w.bytes(b->serialize());
 }
 
 bool BlockStore::checkpoint_restore(ByteReader& r) {
   max_depth_ = static_cast<std::size_t>(r.u64());
   const std::uint32_t n = r.u32();
-  if (!r.ok() || n > r.remaining()) return false;  // each block is >= 1 byte
+  // Each block is >= 1 byte; a live store never holds more than its depth.
+  if (!r.ok() || n > r.remaining() || n > max_depth_) return false;
   blocks_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
     std::optional<Block> b = Block::deserialize(r.bytes());
     if (!r.ok() || !b) return false;
-    blocks_.push_back(std::move(*b));
+    if (!blocks_.empty() && b->seq() != blocks_.back()->seq() + 1) return false;
+    blocks_.push_back(std::make_shared<const Block>(std::move(*b)));
   }
   return true;
 }
 
 const aim::TravelPlan* BlockStore::find_plan(VehicleId id) const {
   for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
-    if (const aim::TravelPlan* p = it->plan_for(id)) return p;
+    if (const aim::TravelPlan* p = (*it)->plan_for(id)) return p;
   }
   return nullptr;
 }

@@ -34,21 +34,23 @@ class BlockStore {
   /// `max_depth` = tau/delta bound; older blocks are evicted after append.
   explicit BlockStore(std::size_t max_depth = 64) : max_depth_(max_depth) {}
 
-  /// Validates and appends a block. On any failure the store is unchanged
-  /// and the error tells the caller what was wrong with the block.
-  Result<void, ChainError> append(const Block& block, const crypto::Verifier& verifier);
+  /// Validates and appends a block; the store keeps the handle, not a copy.
+  /// On any failure the store is unchanged and the error tells the caller
+  /// what was wrong with the block.
+  Result<void, ChainError> append(BlockPtr block, const crypto::Verifier& verifier);
 
   bool empty() const { return blocks_.empty(); }
   std::size_t size() const { return blocks_.size(); }
   std::size_t max_depth() const { return max_depth_; }
 
-  const Block* latest() const { return blocks_.empty() ? nullptr : &blocks_.back(); }
-  const Block* by_seq(BlockSeq seq) const;
+  const Block* latest() const { return blocks_.empty() ? nullptr : blocks_.back().get(); }
+  /// The cached block with sequence `seq`, or null.
+  BlockPtr by_seq(BlockSeq seq) const;
 
   /// Sequence number the next append must carry to keep the chain contiguous;
   /// 0 when the store is empty (any starting seq is accepted).
   BlockSeq next_expected() const {
-    return blocks_.empty() ? 0 : blocks_.back().seq + 1;
+    return blocks_.empty() ? 0 : blocks_.back()->seq() + 1;
   }
 
   /// The gap an incoming block with sequence `incoming` would reveal: every
@@ -58,7 +60,7 @@ class BlockStore {
   std::vector<BlockSeq> missing_before(BlockSeq incoming, std::size_t limit) const;
 
   /// All cached blocks, oldest first.
-  const std::deque<Block>& blocks() const { return blocks_; }
+  const std::deque<BlockPtr>& blocks() const { return blocks_; }
 
   /// Finds a vehicle's most recent plan across cached blocks (newest wins —
   /// evacuation/recovery plans supersede older ones).
@@ -69,15 +71,17 @@ class BlockStore {
   /// Serializes the depth bound and every cached block (Block::serialize).
   void checkpoint_save(ByteWriter& w) const;
 
-  /// Restores a saved store. Appends are *unchecked*: the blocks were
-  /// validated before the checkpoint, and re-verifying here would perturb
-  /// the signature-verify cache's hit/miss counters on resume. Returns false
-  /// on malformed input (the store may then be partially filled).
+  /// Restores a saved store. Signatures are *not* re-verified: the blocks
+  /// were validated before the checkpoint, and re-verifying here would
+  /// perturb the signature-verify cache's hit/miss counters on resume. The
+  /// section itself is checked: at most `max_depth` blocks with consecutive
+  /// seqs. Returns false on malformed input (the store may then be partially
+  /// filled).
   bool checkpoint_restore(ByteReader& r);
 
  private:
   std::size_t max_depth_;
-  std::deque<Block> blocks_;
+  std::deque<BlockPtr> blocks_;
 };
 
 }  // namespace nwade::chain

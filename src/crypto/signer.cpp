@@ -8,20 +8,20 @@ namespace {
 
 class RsaVerifier final : public Verifier {
  public:
-  /// `cache` == nullptr memoizes into the process-wide instance; a non-null
-  /// cache scopes the verdicts to one run (campaign isolation).
+  /// `cache` == nullptr verifies every call; a non-null cache memoizes the
+  /// verdicts of one run.
   explicit RsaVerifier(RsaPublicKey pub, SigVerifyCache* cache = nullptr)
       : ctx_(std::move(pub)), cache_(cache) {}
   bool verify(std::span<const std::uint8_t> msg,
               std::span<const std::uint8_t> sig) const override {
+    if (cache_ == nullptr) return ctx_.verify(msg, sig);
     // One modexp per distinct (key, msg, sig) per cache: every other
     // receiver of the same broadcast block hits the cache. Pure-function
     // caching, so the answer is identical either way.
-    auto& cache = cache_ != nullptr ? *cache_ : SigVerifyCache::instance();
     const Digest key = SigVerifyCache::key_of(ctx_.fingerprint(), msg, sig);
-    if (const auto cached = cache.lookup(key)) return *cached;
+    if (const auto cached = cache_->lookup(key)) return *cached;
     const bool ok = ctx_.verify(msg, sig);
-    cache.store(key, ok);
+    cache_->store(key, ok);
     return ok;
   }
 

@@ -27,14 +27,13 @@ class Signer {
  public:
   virtual ~Signer() = default;
   virtual Bytes sign(std::span<const std::uint8_t> msg) const = 0;
+  /// A verifier that checks every signature it is asked about.
   virtual std::shared_ptr<const Verifier> verifier() const = 0;
 
-  /// A verifier whose memoized verdicts live in `cache` instead of the
-  /// process-wide `SigVerifyCache::instance()`. Multi-run hosts (the
-  /// campaign engine) hand each run its own cache so concurrent worlds
-  /// neither contend on one mutex set nor observe each other's verdicts.
-  /// `cache` must outlive the returned verifier. Signers that do not
-  /// memoize (HMAC) return their plain verifier.
+  /// A verifier that memoizes its verdicts in `cache` (each World owns one,
+  /// so concurrent worlds never observe each other's verdicts). `cache`
+  /// must outlive the returned verifier. Signers that do not memoize (HMAC)
+  /// return their plain verifier.
   virtual std::shared_ptr<const Verifier> verifier_with_cache(
       SigVerifyCache& cache) const {
     (void)cache;

@@ -1,13 +1,19 @@
 #include "crypto/verify_cache.h"
 
-#include <limits>
+#include <algorithm>
+#include <array>
+#include <vector>
 
 namespace nwade::crypto {
 
-SigVerifyCache& SigVerifyCache::instance() {
-  static SigVerifyCache cache;
-  return cache;
-}
+namespace {
+
+/// The checkpoint's entry lists: key byte 8 picks the list.
+constexpr std::size_t kCheckpointLists = 16;
+
+std::size_t list_of(const Digest& key) { return key[8] % kCheckpointLists; }
+
+}  // namespace
 
 Digest SigVerifyCache::key_of(const Digest& verifier_fingerprint,
                               std::span<const std::uint8_t> msg,
@@ -27,122 +33,66 @@ Digest SigVerifyCache::key_of(const Digest& verifier_fingerprint,
 }
 
 std::optional<bool> SigVerifyCache::lookup(const Digest& key) {
-  Shard& shard = shard_of(key);
-  std::optional<bool> verdict;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.entries.find(key);
-    if (it != shard.entries.end()) verdict = it->second.ok;
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = verdicts_.find(key);
+  if (it == verdicts_.end()) {
+    ++stats_.misses;
+    return std::nullopt;
   }
-  if (verdict) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    misses_.fetch_add(1, std::memory_order_relaxed);
-  }
-  return verdict;
+  ++stats_.hits;
+  return it->second;
 }
 
 void SigVerifyCache::store(const Digest& key, bool ok) {
-  if (capacity_.load(std::memory_order_relaxed) == 0) return;
-  Shard& shard = shard_of(key);
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto [it, inserted] = shard.entries.try_emplace(key);
-    if (!inserted) return;
-    it->second.ok = ok;
-    it->second.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    shard.order.emplace_back(it->second.seq, key);
-  }
-  size_.fetch_add(1, std::memory_order_relaxed);
-  insertions_.fetch_add(1, std::memory_order_relaxed);
-  evict_to_capacity();
-}
-
-void SigVerifyCache::clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    size_.fetch_sub(shard.entries.size(), std::memory_order_relaxed);
-    shard.entries.clear();
-    shard.order.clear();
+  std::lock_guard<std::mutex> lock(mu_);
+  if (capacity_ == 0) return;
+  if (!verdicts_.try_emplace(key, ok).second) return;
+  fifo_.emplace_back(next_seq_++, key);
+  ++stats_.insertions;
+  while (verdicts_.size() > capacity_) {
+    verdicts_.erase(fifo_.front().second);
+    fifo_.pop_front();
+    ++stats_.evictions;
   }
 }
 
-void SigVerifyCache::reset() {
-  clear();
-  reset_stats();
+std::size_t SigVerifyCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return verdicts_.size();
 }
 
-void SigVerifyCache::set_capacity(std::size_t capacity) {
-  capacity_.store(capacity, std::memory_order_relaxed);
-  evict_to_capacity();
+std::size_t SigVerifyCache::capacity() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return capacity_;
 }
 
 SigVerifyCache::Stats SigVerifyCache::stats() const {
-  Stats s;
-  s.hits = hits_.load(std::memory_order_relaxed);
-  s.misses = misses_.load(std::memory_order_relaxed);
-  s.insertions = insertions_.load(std::memory_order_relaxed);
-  s.evictions = evictions_.load(std::memory_order_relaxed);
-  return s;
+  std::lock_guard<std::mutex> lock(mu_);
+  return stats_;
 }
 
 void SigVerifyCache::reset_stats() {
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
-  insertions_.store(0, std::memory_order_relaxed);
-  evictions_.store(0, std::memory_order_relaxed);
-}
-
-void SigVerifyCache::evict_to_capacity() {
-  while (size_.load(std::memory_order_relaxed) >
-         capacity_.load(std::memory_order_relaxed)) {
-    if (!evict_globally_oldest()) return;
-  }
-}
-
-bool SigVerifyCache::evict_globally_oldest() {
-  // Pass 1: peek every shard's FIFO head (one short lock each) to find the
-  // globally-oldest entry. Pass 2: evict that shard's current head. Under
-  // concurrent stores the head may have changed between passes — evicting
-  // whatever now heads the chosen shard keeps the size bound exact and the
-  // order per-shard FIFO, which is all the concurrent contract promises.
-  std::size_t best_shard = kShards;
-  std::uint64_t best_seq = std::numeric_limits<std::uint64_t>::max();
-  for (std::size_t i = 0; i < kShards; ++i) {
-    std::lock_guard<std::mutex> lock(shards_[i].mu);
-    if (!shards_[i].order.empty() && shards_[i].order.front().first < best_seq) {
-      best_seq = shards_[i].order.front().first;
-      best_shard = i;
-    }
-  }
-  if (best_shard == kShards) return false;  // raced with clear(); nothing left
-
-  Shard& shard = shards_[best_shard];
-  std::lock_guard<std::mutex> lock(shard.mu);
-  if (shard.order.empty()) return true;  // retry the sweep
-  const Digest victim = shard.order.front().second;
-  shard.order.pop_front();
-  shard.entries.erase(victim);
-  size_.fetch_sub(1, std::memory_order_relaxed);
-  evictions_.fetch_add(1, std::memory_order_relaxed);
-  return true;
+  std::lock_guard<std::mutex> lock(mu_);
+  stats_ = Stats{};
 }
 
 void SigVerifyCache::checkpoint_save(ByteWriter& w) const {
-  w.u64(capacity_.load(std::memory_order_relaxed));
-  w.u64(next_seq_.load(std::memory_order_relaxed));
-  w.u64(hits_.load(std::memory_order_relaxed));
-  w.u64(misses_.load(std::memory_order_relaxed));
-  w.u64(insertions_.load(std::memory_order_relaxed));
-  w.u64(evictions_.load(std::memory_order_relaxed));
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    w.u32(static_cast<std::uint32_t>(shard.order.size()));
-    for (const auto& [seq, key] : shard.order) {  // FIFO order per shard
-      w.u64(seq);
-      w.bytes(key);
-      const auto it = shard.entries.find(key);
-      w.u8(it != shard.entries.end() && it->second.ok ? 1 : 0);
+  std::lock_guard<std::mutex> lock(mu_);
+  w.u64(capacity_);
+  w.u64(next_seq_);
+  w.u64(stats_.hits);
+  w.u64(stats_.misses);
+  w.u64(stats_.insertions);
+  w.u64(stats_.evictions);
+  std::array<std::vector<const std::pair<std::uint64_t, Digest>*>, kCheckpointLists>
+      lists;
+  for (const auto& entry : fifo_) lists[list_of(entry.second)].push_back(&entry);
+  for (const auto& list : lists) {
+    w.u32(static_cast<std::uint32_t>(list.size()));
+    for (const auto* entry : list) {  // FIFO order within each list
+      w.u64(entry->first);
+      w.bytes(entry->second);
+      w.u8(verdicts_.at(entry->second) ? 1 : 0);
     }
   }
 }
@@ -150,16 +100,15 @@ void SigVerifyCache::checkpoint_save(ByteWriter& w) const {
 bool SigVerifyCache::checkpoint_restore(ByteReader& r) {
   const std::uint64_t capacity = r.u64();
   const std::uint64_t next_seq = r.u64();
-  const std::uint64_t hits = r.u64();
-  const std::uint64_t misses = r.u64();
-  const std::uint64_t insertions = r.u64();
-  const std::uint64_t evictions = r.u64();
+  Stats stats;
+  stats.hits = r.u64();
+  stats.misses = r.u64();
+  stats.insertions = r.u64();
+  stats.evictions = r.u64();
   if (!r.ok()) return false;
-  std::size_t total = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    shard.entries.clear();
-    shard.order.clear();
+  std::unordered_map<Digest, bool, DigestHash> verdicts;
+  std::vector<std::pair<std::uint64_t, Digest>> entries;
+  for (std::size_t list = 0; list < kCheckpointLists; ++list) {
     const std::uint32_t n = r.u32();
     if (!r.ok() || n > r.remaining() / 45) return false;  // 45 bytes/entry
     for (std::uint32_t i = 0; i < n; ++i) {
@@ -167,20 +116,22 @@ bool SigVerifyCache::checkpoint_restore(ByteReader& r) {
       const Bytes key_bytes = r.bytes();
       const bool ok = r.u8() != 0;
       if (!r.ok() || key_bytes.size() != std::tuple_size_v<Digest>) return false;
+      if (i > 0 && seq <= entries.back().first) return false;
       Digest key;
       std::copy(key_bytes.begin(), key_bytes.end(), key.begin());
-      shard.entries[key] = Entry{ok, seq};
-      shard.order.emplace_back(seq, key);
-      ++total;
+      if (!verdicts.try_emplace(key, ok).second) return false;
+      if (verdicts.size() > capacity) return false;
+      entries.emplace_back(seq, key);
     }
   }
-  capacity_.store(capacity, std::memory_order_relaxed);
-  size_.store(total, std::memory_order_relaxed);
-  next_seq_.store(next_seq, std::memory_order_relaxed);
-  hits_.store(hits, std::memory_order_relaxed);
-  misses_.store(misses, std::memory_order_relaxed);
-  insertions_.store(insertions, std::memory_order_relaxed);
-  evictions_.store(evictions, std::memory_order_relaxed);
+  std::sort(entries.begin(), entries.end());
+
+  std::lock_guard<std::mutex> lock(mu_);
+  capacity_ = static_cast<std::size_t>(capacity);
+  next_seq_ = next_seq;
+  stats_ = stats;
+  verdicts_ = std::move(verdicts);
+  fifo_.assign(entries.begin(), entries.end());
   return true;
 }
 

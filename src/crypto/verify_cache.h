@@ -13,27 +13,16 @@
 //     fails) on its own cache miss.
 //   * Key rotation changes the verifier fingerprint folded into the key, so
 //     stale entries for a retired key are unreachable, not merely evicted.
-//   * Capacity is bounded with FIFO eviction; capacity 0 disables caching
-//     entirely (every lookup misses, stores are dropped) — used by benches
-//     to measure the uncached path.
+//   * Capacity is bounded with exact FIFO eviction; capacity 0 disables
+//     caching entirely (every lookup misses, stores are dropped).
 //
-// Concurrency: entries live in `kShards` independently-locked shards (the
-// shard is picked from the key digest, which is uniform), and the hit/miss/
-// insertion/eviction counters are atomics, so concurrent worlds in a
-// campaign never serialize on one mutex. Eviction order is exact global
-// FIFO under single-threaded use (each entry carries a global insertion
-// sequence and the globally-oldest head is evicted first); under concurrent
-// stores it degrades gracefully to per-shard FIFO with a bounded total size.
-//
-// Ownership: `instance()` is the process-wide default that single-run paths
-// (one World per process, micro benches, tests) share. Multi-run hosts —
-// the campaign engine running many worlds concurrently — construct one
-// cache per run and inject it via `Signer::verifier_with_cache()`, so
-// memoized verdicts can neither race nor leak across runs.
+// Ownership: each World owns one cache and hands it to its vehicles through
+// `Signer::verifier_with_cache()`, so memoized verdicts can neither race nor
+// leak across runs. One mutex guards the map, the FIFO and the counters; a
+// World steps on one thread, so the lock is never contended — it only keeps
+// a cache shared by hand between threads safe.
 #pragma once
 
-#include <array>
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <deque>
@@ -57,14 +46,9 @@ class SigVerifyCache {
   };
 
   static constexpr std::size_t kDefaultCapacity = 4096;
-  static constexpr std::size_t kShards = 16;
 
   explicit SigVerifyCache(std::size_t capacity = kDefaultCapacity)
       : capacity_(capacity) {}
-
-  /// The shared process-wide instance used by verifiers that were not handed
-  /// a cache of their own.
-  static SigVerifyCache& instance();
 
   /// Cache key: SHA-256 over (verifier fingerprint, message, signature),
   /// length-prefixed.
@@ -79,27 +63,20 @@ class SigVerifyCache {
   /// a key already present (verdicts are pure, so the value cannot differ).
   void store(const Digest& key, bool ok);
 
-  /// Drops every entry; the stats survive.
-  void clear();
-
-  /// Back to a pristine cache: no entries, zeroed stats. Benches call this
-  /// between phases so memoized verdicts from one phase cannot skew the
-  /// hit/miss accounting (or the timings) of the next.
-  void reset();
-
   /// Live entry count (≤ capacity).
-  std::size_t size() const { return size_.load(std::memory_order_relaxed); }
-  std::size_t capacity() const { return capacity_.load(std::memory_order_relaxed); }
-  /// Shrinks immediately if the new capacity is smaller; 0 disables caching.
-  void set_capacity(std::size_t capacity);
+  std::size_t size() const;
+  std::size_t capacity() const;
 
   Stats stats() const;
   void reset_stats();
 
-  /// Serializes capacity, counters, and every shard's entries in FIFO order,
-  /// so a resumed run replays the same hits, misses, and evictions. Restore
-  /// overwrites the cache in place; returns false on malformed input.
-  /// Not safe concurrently with lookups/stores.
+  /// Serializes capacity, counters and the entries, so a resumed run replays
+  /// the same hits, misses and evictions. The entries are written as 16
+  /// lists grouped by `key[8] % 16`, each in FIFO order (the layout of
+  /// nwade-ckpt-v1, docs/CHECKPOINT.md §6); restore merges them by insertion
+  /// sequence. Restore overwrites the cache in place and returns false on
+  /// malformed input: a duplicate key, seqs that do not increase within a
+  /// list, or more entries than the capacity.
   void checkpoint_save(ByteWriter& w) const;
   bool checkpoint_restore(ByteReader& r);
 
@@ -114,38 +91,14 @@ class SigVerifyCache {
     }
   };
 
-  struct Entry {
-    bool ok{false};
-    std::uint64_t seq{0};  ///< global insertion sequence (FIFO eviction order)
-  };
-
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<Digest, Entry, DigestHash> entries;
-    /// Per-shard FIFO of (seq, key); always in sync with `entries` (pops and
-    /// erases happen under the same lock).
-    std::deque<std::pair<std::uint64_t, Digest>> order;
-  };
-
-  Shard& shard_of(const Digest& key) {
-    // Byte 8 so the shard index never correlates with DigestHash's bytes 0-7.
-    return shards_[key[8] % kShards];
-  }
-  const Shard& shard_of(const Digest& key) const {
-    return shards_[key[8] % kShards];
-  }
-
-  void evict_to_capacity();
-  bool evict_globally_oldest();
-
-  std::atomic<std::size_t> capacity_;
-  std::atomic<std::size_t> size_{0};
-  std::atomic<std::uint64_t> next_seq_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
-  std::atomic<std::uint64_t> insertions_{0};
-  std::atomic<std::uint64_t> evictions_{0};
-  std::array<Shard, kShards> shards_;
+  mutable std::mutex mu_;
+  std::size_t capacity_;
+  std::uint64_t next_seq_{0};  ///< insertion sequence of the next store
+  Stats stats_;
+  std::unordered_map<Digest, bool, DigestHash> verdicts_;
+  /// (insertion seq, key), oldest first; always holds exactly the keys of
+  /// `verdicts_`.
+  std::deque<std::pair<std::uint64_t, Digest>> fifo_;
 };
 
 }  // namespace nwade::crypto

@@ -215,7 +215,7 @@ class ImNode final : public net::Node {
   std::map<VehicleId, aim::TravelPlan> active_plans_;
   crypto::Digest prev_hash_{};
   chain::BlockSeq seq_{0};
-  std::deque<chain::Block> recent_blocks_;
+  std::deque<chain::BlockPtr> recent_blocks_;
 
   std::map<std::uint64_t, VerificationRound> rounds_;
   std::map<VehicleId, std::uint64_t> round_by_suspect_;

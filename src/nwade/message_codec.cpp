@@ -21,11 +21,11 @@ enum class Tag : std::uint8_t {
   kBlacklistGossip = 10,
 };
 
-void encode_block(ByteWriter& w, const std::shared_ptr<const chain::Block>& b) {
+void encode_block(ByteWriter& w, const chain::BlockPtr& b) {
   w.bytes(b != nullptr ? b->serialize() : Bytes{});
 }
 
-std::shared_ptr<const chain::Block> decode_block(ByteReader& r) {
+chain::BlockPtr decode_block(ByteReader& r) {
   const Bytes raw = r.bytes();
   if (!r.ok() || raw.empty()) return nullptr;
   std::optional<chain::Block> b = chain::Block::deserialize(raw);

@@ -521,7 +521,7 @@ void VehicleNode::report_incident(const Observation& obs, double deviation,
   report->evidence.observed = obs.status;
   report->evidence.observed_at = now;
   report->evidence.deviation_m = deviation;
-  if (const auto* latest = store_.latest()) report->block_seq = latest->seq;
+  if (const auto* latest = store_.latest()) report->block_seq = latest->seq();
   ctx_.network->unicast(node_id(), kImNodeId, std::move(report));
   ctx_.metrics->incident_reports++;
   trace_instant("nwade", "incident_report", now);
@@ -544,7 +544,7 @@ void VehicleNode::on_message(const net::Envelope& env) {
   if (state_ == VehicleState::kExited) return;
   const Tick now = ctx_.clock->now();
   if (const auto* bb = dynamic_cast<const BlockBroadcast*>(env.msg.get())) {
-    if (bb->block) handle_block(*bb->block, now);
+    if (bb->block) handle_block(bb->block, now);
   } else if (const auto* br = dynamic_cast<const BlockRequest*>(env.msg.get())) {
     handle_block_request(*br, env.from);
   } else if (const auto* resp = dynamic_cast<const BlockResponse*>(env.msg.get())) {
@@ -562,14 +562,14 @@ void VehicleNode::on_message(const net::Envelope& env) {
 
 // --- Algorithm 1: block verification ----------------------------------------------
 
-bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string* why) {
+bool VehicleNode::verify_block(const chain::BlockPtr& block, Tick now, std::string* why) {
   // (i), (iii): signature, Merkle root, linkage — structural checks.
   const auto appended = store_.append(block, *ctx_.im_verifier);
   if (!appended) {
     switch (appended.error()) {
       case chain::ChainError::kNonMonotonicSeq: {
         const auto* latest = store_.latest();
-        if (latest != nullptr && block.seq <= latest->seq) {
+        if (latest != nullptr && block->seq() <= latest->seq()) {
           return true;  // duplicate / reordered replay; harmless
         }
         // A gap: this vehicle missed blocks (burst loss, jitter reordering,
@@ -578,7 +578,7 @@ bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string*
         // block. Peers answer by-seq BlockRequests too, so gap recovery also
         // works while the IM is dark (handle_block_request).
         const auto missing = store_.missing_before(
-            block.seq, static_cast<std::size_t>(ctx_.config->gap_request_limit));
+            block->seq(), static_cast<std::size_t>(ctx_.config->gap_request_limit));
         for (chain::BlockSeq seq : missing) {
           auto req = std::make_shared<BlockRequest>();
           req->requester = id_;
@@ -607,7 +607,7 @@ bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string*
   // within this block and against the cached chain (latest plan per vehicle).
   std::map<VehicleId, const aim::TravelPlan*> latest_plans;
   for (auto it = store_.blocks().rbegin(); it != store_.blocks().rend(); ++it) {
-    for (const aim::TravelPlan& p : it->plans()) {
+    for (const aim::TravelPlan& p : (*it)->plans()) {
       latest_plans.try_emplace(p.vehicle, &p);
     }
   }
@@ -645,7 +645,8 @@ bool VehicleNode::verify_block(const chain::Block& block, Tick now, std::string*
   return true;
 }
 
-void VehicleNode::handle_block(const chain::Block& block, Tick now) {
+void VehicleNode::handle_block(const chain::BlockPtr& handle, Tick now) {
+  const chain::Block& block = *handle;
   // Any block receipt proves the IM is up (liveness only — a block never
   // grants a plan before it passes verification below).
   last_block_seen_at_ = now;
@@ -670,7 +671,7 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
   if (prev != VehicleState::kPreparation) set_state(VehicleState::kBlockVerification);
   const auto t0 = std::chrono::steady_clock::now();
   std::string why;
-  const bool ok = verify_block(block, now, &why);
+  const bool ok = verify_block(handle, now, &why);
   const double verify_us = elapsed_us(t0);
   ctx_.metrics->vehicle_verify_us.push_back(verify_us);
   if (ctx_.tracer != nullptr && util::trace::tracing_active()) {
@@ -682,11 +683,11 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
     if (std::getenv("NWADE_DEBUG_VEHICLE")) {
       std::fprintf(stderr, "VERIFY-FAIL t=%lld vehicle=%llu block=%llu why=%s\n",
                    (long long)now, (unsigned long long)id_.value,
-                   (unsigned long long)block.seq, why.c_str());
+                   (unsigned long long)block.seq(), why.c_str());
     }
     ctx_.metrics->block_verification_failures++;
     if (!ctx_.metrics->im_conflict_detected) ctx_.metrics->im_conflict_detected = now;
-    NWADE_LOG(kInfo) << "vehicle " << id_.value << " rejected block " << block.seq
+    NWADE_LOG(kInfo) << "vehicle " << id_.value << " rejected block " << block.seq()
                      << " (" << why << ")";
     enter_self_evacuation(GlobalReason::kConflictingPlans, VehicleId{}, now);
     return;
@@ -695,7 +696,7 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
 
   // Learn revocations carried by the chain (e.g. a confirmed threat whose
   // evacuation alert predates our arrival).
-  for (VehicleId v : block.revoked) confirmed_threats_.insert(v);
+  for (VehicleId v : block.revoked()) confirmed_threats_.insert(v);
 
   // Adopt our own plan if this block carries one (initial, evacuation, or
   // recovery plans all arrive this way). A replayed or reordered old block
@@ -719,13 +720,13 @@ void VehicleNode::handle_block(const chain::Block& block, Tick now) {
 }
 
 void VehicleNode::handle_block_request(const BlockRequest& req, NodeId from) {
-  const chain::Block* found = nullptr;
+  chain::BlockPtr found;
   if (req.by_seq) {
     found = store_.by_seq(req.seq);
   } else {
     for (auto it = store_.blocks().rbegin(); it != store_.blocks().rend(); ++it) {
-      if (it->plan_for(req.plan_of) != nullptr) {
-        found = &*it;
+      if ((*it)->plan_for(req.plan_of) != nullptr) {
+        found = *it;
         break;
       }
     }
@@ -733,7 +734,7 @@ void VehicleNode::handle_block_request(const BlockRequest& req, NodeId from) {
   if (found == nullptr) return;
   auto resp = std::make_shared<BlockResponse>();
   resp->plan_of = req.plan_of;
-  resp->block = std::make_shared<chain::Block>(*found);
+  resp->block = std::move(found);
   ctx_.network->unicast(node_id(), from, std::move(resp));
 }
 
@@ -745,8 +746,8 @@ void VehicleNode::handle_block_response(const BlockResponse& resp, Tick now) {
   if (!resp.block->verify_merkle()) return;
 
   // A pending conflicting-plans claim about this block?
-  if (pending_conflict_claims_.contains(resp.block->seq)) {
-    pending_conflict_claims_.erase(resp.block->seq);
+  if (pending_conflict_claims_.contains(resp.block->seq())) {
+    pending_conflict_claims_.erase(resp.block->seq());
     // Same filters as Algorithm 1: emergency plans and grandfathered mid-core
     // plans are not scheduling decisions and must not be judged as conflicts.
     std::vector<const aim::TravelPlan*> plans;
@@ -871,8 +872,7 @@ void VehicleNode::handle_global_report(const GlobalReport& report, Tick now) {
   set_state(VehicleState::kGlobalVerification);
   switch (report.reason) {
     case GlobalReason::kConflictingPlans: {
-      if (const chain::Block* block = store_.by_seq(report.block_seq)) {
-        (void)block;
+      if (store_.by_seq(report.block_seq) != nullptr) {
         // We verified this block when it arrived and found it clean, so the
         // report is false: notify the IM about the lying reporter.
         if (!ctx_.metrics->false_global_detected &&
@@ -1002,7 +1002,7 @@ void VehicleNode::inject_false_incident(
   auto ir = std::make_shared<IncidentReport>();
   ir->reporter = id_;
   ir->evidence = fabricated;
-  if (const auto* latest = store_.latest()) ir->block_seq = latest->seq;
+  if (const auto* latest = store_.latest()) ir->block_seq = latest->seq();
   ctx_.network->unicast(node_id(), kImNodeId, std::move(ir));
   ctx_.metrics->incident_reports++;
   trace_instant("nwade", "incident_report", now);
@@ -1026,7 +1026,7 @@ void VehicleNode::inject_false_global(Tick now) {
   auto gr = std::make_shared<GlobalReport>();
   gr->reporter = id_;
   gr->reason = GlobalReason::kConflictingPlans;
-  gr->block_seq = store_.latest() != nullptr ? store_.latest()->seq : 0;
+  gr->block_seq = store_.latest() != nullptr ? store_.latest()->seq() : 0;
   ctx_.network->broadcast(node_id(), std::move(gr));
   ctx_.metrics->global_reports++;
   trace_instant("nwade", "global_report", now);
@@ -1072,7 +1072,7 @@ void VehicleNode::enter_self_evacuation(GlobalReason reason, VehicleId suspect,
     gr->reason = reason;
     gr->suspect = suspect;
     if (reason == GlobalReason::kConflictingPlans && store_.latest() != nullptr) {
-      gr->block_seq = store_.latest()->seq;
+      gr->block_seq = store_.latest()->seq();
     }
     ctx_.network->broadcast(node_id(), std::move(gr));
     ctx_.metrics->global_reports++;

@@ -149,7 +149,7 @@ class VehicleNode final : public net::Node {
   void trace_instant(const char* cat, const char* name, Tick now) const;
 
   // Message handlers.
-  void handle_block(const chain::Block& block, Tick now);
+  void handle_block(const chain::BlockPtr& block, Tick now);
   void handle_block_request(const BlockRequest& req, NodeId from);
   void handle_block_response(const BlockResponse& resp, Tick now);
   void handle_verify_request(const VerifyRequest& req, Tick now);
@@ -158,7 +158,7 @@ class VehicleNode final : public net::Node {
   void handle_global_report(const GlobalReport& report, Tick now);
 
   // Algorithm 1 (full block verification) — returns false on any failure.
-  bool verify_block(const chain::Block& block, Tick now, std::string* why);
+  bool verify_block(const chain::BlockPtr& block, Tick now, std::string* why);
 
   // Algorithm 2 helpers.
   const aim::TravelPlan* lookup_plan(VehicleId vehicle) const;

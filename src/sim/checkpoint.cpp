@@ -57,7 +57,7 @@ void save_scenario_config(ByteWriter& w, const ScenarioConfig& c) {
   w.i64(c.scheduler.margin_ms);
   w.f64(c.scheduler.min_cruise_mps);
   w.i64(c.scheduler.max_push_iterations);
-  w.u8(c.scheduler.linear_reference_scan ? 1 : 0);
+  w.u8(0);  // retired field, always 0
 
   const net::NetworkConfig& nc = c.network;
   w.i64(nc.latency_ms);
@@ -151,7 +151,7 @@ bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
   c.scheduler.margin_ms = r.i64();
   c.scheduler.min_cruise_mps = r.f64();
   c.scheduler.max_push_iterations = static_cast<int>(r.i64());
-  c.scheduler.linear_reference_scan = r.u8() != 0;
+  (void)r.u8();  // retired field, read and ignored
 
   net::NetworkConfig& nc = c.network;
   nc.latency_ms = r.i64();

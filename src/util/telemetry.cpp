@@ -8,35 +8,19 @@
 
 namespace nwade::util::telemetry {
 
-namespace detail {
+namespace {
 
-void ShardedCell::add(std::int64_t delta) {
-  shards[this_thread_shard()].v.fetch_add(delta, std::memory_order_relaxed);
+std::int64_t load(const detail::Cell& c) { return c.load(std::memory_order_relaxed); }
+void put(detail::Cell& c, std::int64_t v) { c.store(v, std::memory_order_relaxed); }
+void add(detail::Cell& c, std::int64_t v) { c.fetch_add(v, std::memory_order_relaxed); }
+
+void zero(detail::HistogramImpl& h) {
+  for (detail::Cell& b : h.bucket_counts) put(b, 0);
+  put(h.count, 0);
+  put(h.sum, 0);
 }
 
-std::int64_t ShardedCell::sum() const {
-  std::int64_t total = 0;
-  for (const ShardCell& s : shards) {
-    total += s.v.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-void ShardedCell::reset() {
-  for (ShardCell& s : shards) s.v.store(0, std::memory_order_relaxed);
-}
-
-int this_thread_shard() {
-  // Round-robin assignment at first use per thread: cheap, stable for the
-  // thread's lifetime, and spreads WorkerPool threads across cells without
-  // hashing thread ids.
-  static std::atomic<int> next{0};
-  thread_local const int shard =
-      next.fetch_add(1, std::memory_order_relaxed) % kShards;
-  return shard;
-}
-
-}  // namespace detail
+}  // namespace
 
 HistogramBuckets HistogramBuckets::exponential_ms(std::int64_t max_edge) {
   HistogramBuckets b;
@@ -60,42 +44,34 @@ void Histogram::observe(std::int64_t value) {
       hi = mid;
     }
   }
-  impl_->bucket_counts[lo].add(1);
-  impl_->count.add(1);
-  impl_->sum.add(value);
+  add(impl_->bucket_counts[lo], 1);
+  add(impl_->count, 1);
+  add(impl_->sum, value);
 }
 
 std::int64_t Histogram::count() const {
-  return impl_ != nullptr ? impl_->count.sum() : 0;
+  return impl_ != nullptr ? load(impl_->count) : 0;
 }
 
 std::int64_t Histogram::sum() const {
-  return impl_ != nullptr ? impl_->sum.sum() : 0;
+  return impl_ != nullptr ? load(impl_->sum) : 0;
 }
 
 void Histogram::reset() {
-  if (impl_ == nullptr) return;
-  for (detail::ShardedCell& b : impl_->bucket_counts) b.reset();
-  impl_->count.reset();
-  impl_->sum.reset();
-}
-
-Registry& Registry::process() {
-  static Registry instance;
-  return instance;
+  if (impl_ != nullptr) zero(*impl_);
 }
 
 Counter Registry::counter(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = counters_[name];
-  if (slot == nullptr) slot = std::make_unique<detail::ShardedCell>();
+  if (slot == nullptr) slot = std::make_unique<detail::Cell>(0);
   return Counter(slot.get());
 }
 
 Gauge Registry::gauge(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<std::atomic<std::int64_t>>(0);
+  if (slot == nullptr) slot = std::make_unique<detail::Cell>(0);
   return Gauge(slot.get());
 }
 
@@ -107,7 +83,7 @@ Histogram Registry::histogram(const std::string& name,
     slot = std::make_unique<detail::HistogramImpl>();
     slot->edges = buckets.upper_edges;
     slot->bucket_counts =
-        std::vector<detail::ShardedCell>(buckets.upper_edges.size() + 1);
+        std::vector<detail::Cell>(buckets.upper_edges.size() + 1);
   }
   return Histogram(slot.get());
 }
@@ -115,21 +91,17 @@ Histogram Registry::histogram(const std::string& name,
 MetricsSnapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  for (const auto& [name, cell] : counters_) {
-    snap.counters[name] = cell->sum();
-  }
-  for (const auto& [name, cell] : gauges_) {
-    snap.gauges[name] = cell->load(std::memory_order_relaxed);
-  }
+  for (const auto& [name, cell] : counters_) snap.counters[name] = load(*cell);
+  for (const auto& [name, cell] : gauges_) snap.gauges[name] = load(*cell);
   for (const auto& [name, impl] : histograms_) {
     MetricsSnapshot::HistogramData h;
     h.upper_edges = impl->edges;
     h.bucket_counts.reserve(impl->bucket_counts.size());
-    for (const detail::ShardedCell& b : impl->bucket_counts) {
-      h.bucket_counts.push_back(b.sum());
+    for (const detail::Cell& b : impl->bucket_counts) {
+      h.bucket_counts.push_back(load(b));
     }
-    h.count = impl->count.sum();
-    h.sum = impl->sum.sum();
+    h.count = load(impl->count);
+    h.sum = load(impl->sum);
     snap.histograms[name] = std::move(h);
   }
   return snap;
@@ -137,35 +109,25 @@ MetricsSnapshot Registry::snapshot() const {
 
 void Registry::reset() {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, cell] : counters_) cell->reset();
-  for (auto& [name, cell] : gauges_) {
-    cell->store(0, std::memory_order_relaxed);
-  }
-  for (auto& [name, impl] : histograms_) {
-    for (detail::ShardedCell& b : impl->bucket_counts) b.reset();
-    impl->count.reset();
-    impl->sum.reset();
-  }
+  for (auto& [name, cell] : counters_) put(*cell, 0);
+  for (auto& [name, cell] : gauges_) put(*cell, 0);
+  for (auto& [name, impl] : histograms_) zero(*impl);
 }
 
 void Registry::restore(const MetricsSnapshot& snap) {
   std::lock_guard<std::mutex> lock(mu_);
-  for (auto& [name, cell] : counters_) cell->reset();
-  for (auto& [name, cell] : gauges_) cell->store(0, std::memory_order_relaxed);
-  for (auto& [name, impl] : histograms_) {
-    for (detail::ShardedCell& b : impl->bucket_counts) b.reset();
-    impl->count.reset();
-    impl->sum.reset();
-  }
+  for (auto& [name, cell] : counters_) put(*cell, 0);
+  for (auto& [name, cell] : gauges_) put(*cell, 0);
+  for (auto& [name, impl] : histograms_) zero(*impl);
   for (const auto& [name, v] : snap.counters) {
     auto& slot = counters_[name];
-    if (slot == nullptr) slot = std::make_unique<detail::ShardedCell>();
-    slot->shards[0].v.store(v, std::memory_order_relaxed);
+    if (slot == nullptr) slot = std::make_unique<detail::Cell>(0);
+    put(*slot, v);
   }
   for (const auto& [name, v] : snap.gauges) {
     auto& slot = gauges_[name];
-    if (slot == nullptr) slot = std::make_unique<std::atomic<std::int64_t>>(0);
-    slot->store(v, std::memory_order_relaxed);
+    if (slot == nullptr) slot = std::make_unique<detail::Cell>(0);
+    put(*slot, v);
   }
   for (const auto& [name, h] : snap.histograms) {
     auto& slot = histograms_[name];
@@ -173,16 +135,12 @@ void Registry::restore(const MetricsSnapshot& snap) {
     // Replace the shape in place: the impl's address (what handles cache)
     // stays stable even when the edge vector changes.
     slot->edges = h.upper_edges;
-    slot->bucket_counts =
-        std::vector<detail::ShardedCell>(h.upper_edges.size() + 1);
+    slot->bucket_counts = std::vector<detail::Cell>(h.upper_edges.size() + 1);
     const std::size_t n =
         std::min(slot->bucket_counts.size(), h.bucket_counts.size());
-    for (std::size_t i = 0; i < n; ++i) {
-      slot->bucket_counts[i].shards[0].v.store(h.bucket_counts[i],
-                                               std::memory_order_relaxed);
-    }
-    slot->count.shards[0].v.store(h.count, std::memory_order_relaxed);
-    slot->sum.shards[0].v.store(h.sum, std::memory_order_relaxed);
+    for (std::size_t i = 0; i < n; ++i) put(slot->bucket_counts[i], h.bucket_counts[i]);
+    put(slot->count, h.count);
+    put(slot->sum, h.sum);
   }
 }
 

@@ -3,16 +3,18 @@
 //
 // Design rules, in the order they were chosen:
 //
-//   1. Determinism first. Every metric value is a 64-bit integer, and shard
-//      merge is pure addition — commutative and associative — so a snapshot
-//      is byte-identical no matter how work was spread across WorkerPool
-//      threads. (Floating-point sums would depend on merge order.) Derived
-//      ratios like cache hit rate are computed by consumers from the raw
-//      integer parts.
-//   2. Hot-path writes are wait-free. A Handle caches a pointer to a row of
-//      kShards padded atomic cells; increment = one relaxed fetch_add on
-//      the cell picked by a thread-local shard index. No lock, no hash
-//      lookup, no allocation after the handle exists.
+//   1. Determinism first. Every metric value is a 64-bit integer and
+//      accumulation is pure addition — commutative and associative — so a
+//      snapshot is byte-identical no matter how work was spread across
+//      WorkerPool threads. (Floating-point sums would depend on order.)
+//      Derived ratios like cache hit rate are computed by consumers from the
+//      raw integer parts.
+//   2. Hot-path writes are wait-free. A Handle caches a pointer to one
+//      atomic cell; increment = one relaxed fetch_add. No lock, no hash
+//      lookup, no allocation after the handle exists. Each registry belongs
+//      to one World and is written by the thread stepping it, so the cell is
+//      never contended; the atomic only keeps a registry shared by hand
+//      between threads exact.
 //   3. Registration is slow-path. counter()/gauge()/histogram() take a
 //      mutex and may allocate; call them once at setup and keep the Handle
 //      (they are idempotent per name, so repeated lookups are merely slow,
@@ -34,29 +36,11 @@
 
 namespace nwade::util::telemetry {
 
-/// Shard count for counter rows. Eight padded cells cover the pool sizes the
-/// campaign engine uses (bench_campaign sweeps 1..8) without false sharing.
-inline constexpr int kShards = 8;
-
 namespace detail {
 
-/// One cache-line-padded atomic accumulator cell.
-struct alignas(64) ShardCell {
-  std::atomic<std::int64_t> v{0};
-};
-
-/// A sharded 64-bit accumulator. Stable address (registry stores
-/// unique_ptrs), so handles stay valid for the registry's lifetime.
-struct ShardedCell {
-  ShardCell shards[kShards];
-
-  void add(std::int64_t delta);
-  std::int64_t sum() const;
-  void reset();
-};
-
-/// Round-robin shard index for the calling thread.
-int this_thread_shard();
+/// One metric value. Stable address (the registry stores unique_ptrs), so
+/// handles stay valid for the registry's lifetime.
+using Cell = std::atomic<std::int64_t>;
 
 }  // namespace detail
 
@@ -66,18 +50,20 @@ class Counter {
  public:
   Counter() = default;
   void inc(std::int64_t delta = 1) {
-    if (cell_ != nullptr) cell_->add(delta);
+    if (cell_ != nullptr) cell_->fetch_add(delta, std::memory_order_relaxed);
   }
-  std::int64_t value() const { return cell_ != nullptr ? cell_->sum() : 0; }
+  std::int64_t value() const {
+    return cell_ != nullptr ? cell_->load(std::memory_order_relaxed) : 0;
+  }
   void reset() {
-    if (cell_ != nullptr) cell_->reset();
+    if (cell_ != nullptr) cell_->store(0, std::memory_order_relaxed);
   }
   bool valid() const { return cell_ != nullptr; }
 
  private:
   friend class Registry;
-  explicit Counter(detail::ShardedCell* cell) : cell_(cell) {}
-  detail::ShardedCell* cell_{nullptr};
+  explicit Counter(detail::Cell* cell) : cell_(cell) {}
+  detail::Cell* cell_{nullptr};
 };
 
 /// A gauge is a last-writer-wins level (queue depth, table size). Writes are
@@ -104,8 +90,8 @@ class Gauge {
 
  private:
   friend class Registry;
-  explicit Gauge(std::atomic<std::int64_t>* cell) : cell_(cell) {}
-  std::atomic<std::int64_t>* cell_{nullptr};
+  explicit Gauge(detail::Cell* cell) : cell_(cell) {}
+  detail::Cell* cell_{nullptr};
 };
 
 /// Fixed upper bucket edges for a histogram, plus an implicit +inf overflow
@@ -120,10 +106,10 @@ struct HistogramBuckets {
 
 namespace detail {
 struct HistogramImpl {
-  std::vector<std::int64_t> edges;          // sorted upper edges
-  std::vector<ShardedCell> bucket_counts;   // edges.size() + 1 (overflow)
-  ShardedCell count;
-  ShardedCell sum;
+  std::vector<std::int64_t> edges;   // sorted upper edges
+  std::vector<Cell> bucket_counts;   // edges.size() + 1 (overflow)
+  Cell count{0};
+  Cell sum{0};
 };
 }  // namespace detail
 
@@ -187,36 +173,34 @@ struct MetricsSnapshot {
   MetricsSnapshot diff(const MetricsSnapshot& prev) const;
 };
 
-/// A metrics registry. `process()` is the process-wide instance; Worlds own
-/// their own so campaign cells stay isolated and deterministic.
+/// A metrics registry. Each World owns its own, so campaign cells stay
+/// isolated and deterministic.
 class Registry {
  public:
   Registry() = default;
   Registry(const Registry&) = delete;
   Registry& operator=(const Registry&) = delete;
 
-  static Registry& process();
-
   /// Finds or creates; stable handles for the registry's lifetime.
   Counter counter(const std::string& name);
   Gauge gauge(const std::string& name);
   Histogram histogram(const std::string& name, const HistogramBuckets& buckets);
 
-  /// Point-in-time deterministic snapshot (merges all shards).
+  /// Point-in-time deterministic snapshot.
   MetricsSnapshot snapshot() const;
   /// Zeroes every metric; handles stay valid.
   void reset();
   /// Overwrites the registry with `snap`: every existing metric is zeroed,
   /// then each snapshot entry is re-created (if needed) and set to its
   /// recorded value, so `snapshot()` afterwards equals `snap` exactly.
-  /// Existing handles stay valid — values land in shard 0, which sums the
-  /// same. Used by checkpoint restore; not safe concurrently with writers.
+  /// Existing handles stay valid. Used by checkpoint restore; not safe
+  /// concurrently with writers.
   void restore(const MetricsSnapshot& snap);
 
  private:
   mutable std::mutex mu_;
-  std::map<std::string, std::unique_ptr<detail::ShardedCell>> counters_;
-  std::map<std::string, std::unique_ptr<std::atomic<std::int64_t>>> gauges_;
+  std::map<std::string, std::unique_ptr<detail::Cell>> counters_;
+  std::map<std::string, std::unique_ptr<detail::Cell>> gauges_;
   std::map<std::string, std::unique_ptr<detail::HistogramImpl>> histograms_;
 };
 

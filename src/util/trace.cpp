@@ -11,11 +11,6 @@ std::atomic<int> g_active_tracers{0};
 
 Tracer::~Tracer() { set_enabled(false); }
 
-Tracer& Tracer::process() {
-  static Tracer instance;
-  return instance;
-}
-
 void Tracer::set_enabled(bool on) {
   const bool was = enabled_.exchange(on, std::memory_order_relaxed);
   if (was == on) return;

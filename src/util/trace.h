@@ -21,8 +21,8 @@
 //     tracer stores the pointers); dynamic values go in the integer arg.
 //   * Appends lock a mutex only when the tracer is enabled. A World-scoped
 //     tracer is only ever appended to by the thread stepping that world, so
-//     the lock is uncontended; it exists so process-scoped tracers stay
-//     TSan-clean.
+//     the lock is uncontended; it keeps a tracer that is shared by hand
+//     between threads TSan-clean.
 #pragma once
 
 #include <atomic>
@@ -68,9 +68,6 @@ class Tracer {
 
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  /// The process-wide default instance (disabled until someone enables it).
-  static Tracer& process();
 
   bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
   /// Enabling/disabling maintains the process-wide active count behind

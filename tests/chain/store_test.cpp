@@ -1,4 +1,6 @@
-// BlockStore: chain linkage validation and the tau/delta depth bound.
+// BlockStore: chain linkage validation, the tau/delta depth bound, and the
+// checks on a restored checkpoint section. Tampered blocks are forged
+// through Block(Header, plans).
 #include "chain/store.h"
 
 #include <gtest/gtest.h>
@@ -10,7 +12,7 @@ class StoreTest : public ::testing::Test {
  protected:
   StoreTest() : signer_(Bytes{'i', 'm'}) {}
 
-  Block next_block(int n_plans = 2) {
+  BlockPtr next_block(int n_plans = 2) {
     std::vector<aim::TravelPlan> plans;
     for (int i = 0; i < n_plans; ++i) {
       aim::TravelPlan p;
@@ -18,11 +20,19 @@ class StoreTest : public ::testing::Test {
       p.segments = {aim::PlanSegment{static_cast<Tick>(seq_) * 1000, 0, 10}};
       plans.push_back(p);
     }
-    Block b = Block::package(seq_, prev_, static_cast<Tick>(seq_) * 1000,
-                             std::move(plans), signer_);
-    prev_ = b.hash();
+    auto b = std::make_shared<const Block>(Block::package(
+        seq_, prev_, static_cast<Tick>(seq_) * 1000, std::move(plans), signer_));
+    prev_ = b->hash();
     ++seq_;
     return b;
+  }
+
+  /// `honest` with its header edited by `tamper`, plans unchanged.
+  template <typename F>
+  static BlockPtr forge(const BlockPtr& honest, F tamper) {
+    Block::Header h = honest->header();
+    tamper(h);
+    return std::make_shared<const Block>(std::move(h), honest->plans());
   }
 
   crypto::HmacSigner signer_;
@@ -36,15 +46,15 @@ TEST_F(StoreTest, AppendsValidChain) {
     EXPECT_TRUE(store.append(next_block(), *signer_.verifier()));
   }
   EXPECT_EQ(store.size(), 5u);
-  EXPECT_EQ(store.latest()->seq, 4u);
+  EXPECT_EQ(store.latest()->seq(), 4u);
   EXPECT_NE(store.by_seq(2), nullptr);
   EXPECT_EQ(store.by_seq(99), nullptr);
 }
 
 TEST_F(StoreTest, RejectsBadSignature) {
   BlockStore store;
-  Block b = next_block();
-  b.timestamp += 5;  // invalidates signature
+  const BlockPtr b =
+      forge(next_block(), [](Block::Header& h) { h.timestamp += 5; });  // invalidates signature
   const auto result = store.append(b, *signer_.verifier());
   ASSERT_FALSE(result);
   EXPECT_EQ(result.error(), ChainError::kBadSignature);
@@ -53,8 +63,10 @@ TEST_F(StoreTest, RejectsBadSignature) {
 
 TEST_F(StoreTest, RejectsTamperedPlans) {
   BlockStore store;
-  Block b = next_block();
-  b.mutable_plans()[0].segments[0].v_mps = 60;
+  const BlockPtr honest = next_block();
+  std::vector<aim::TravelPlan> plans = honest->plans();
+  plans[0].segments[0].v_mps = 60;
+  const auto b = std::make_shared<const Block>(honest->header(), std::move(plans));
   const auto result = store.append(b, *signer_.verifier());
   ASSERT_FALSE(result);
   EXPECT_EQ(result.error(), ChainError::kBadMerkleRoot);
@@ -65,7 +77,7 @@ TEST_F(StoreTest, RejectsBrokenLinkage) {
   ASSERT_TRUE(store.append(next_block(), *signer_.verifier()));
   // Forge the next block with the right seq but wrong prev hash.
   prev_ = crypto::sha256("not the real prev");
-  const Block forged = next_block();
+  const BlockPtr forged = next_block();
   const auto result = store.append(forged, *signer_.verifier());
   ASSERT_FALSE(result);
   EXPECT_EQ(result.error(), ChainError::kBrokenLinkage);
@@ -74,9 +86,9 @@ TEST_F(StoreTest, RejectsBrokenLinkage) {
 
 TEST_F(StoreTest, RejectsSeqGapAndReplay) {
   BlockStore store;
-  const Block b0 = next_block();
-  const Block b1 = next_block();
-  const Block b2 = next_block();
+  const BlockPtr b0 = next_block();
+  const BlockPtr b1 = next_block();
+  const BlockPtr b2 = next_block();
   ASSERT_TRUE(store.append(b0, *signer_.verifier()));
   // Gap: b2 after b0.
   auto result = store.append(b2, *signer_.verifier());
@@ -96,8 +108,8 @@ TEST_F(StoreTest, EvictsBeyondMaxDepth) {
     ASSERT_TRUE(store.append(next_block(), *signer_.verifier()));
   }
   EXPECT_EQ(store.size(), 3u);
-  EXPECT_EQ(store.blocks().front().seq, 7u);
-  EXPECT_EQ(store.latest()->seq, 9u);
+  EXPECT_EQ(store.blocks().front()->seq(), 7u);
+  EXPECT_EQ(store.latest()->seq(), 9u);
   // Evicted blocks are gone; linkage continues to be enforced at the tail.
   EXPECT_EQ(store.by_seq(0), nullptr);
 }
@@ -109,8 +121,9 @@ TEST_F(StoreTest, FindPlanReturnsNewest) {
     aim::TravelPlan p;
     p.vehicle = VehicleId{42};
     p.segments = {aim::PlanSegment{0, 0, speed}};
-    Block b = Block::package(seq_, prev_, static_cast<Tick>(seq_) * 1000, {p}, signer_);
-    prev_ = b.hash();
+    auto b = std::make_shared<const Block>(
+        Block::package(seq_, prev_, static_cast<Tick>(seq_) * 1000, {p}, signer_));
+    prev_ = b->hash();
     ++seq_;
     return b;
   };
@@ -128,11 +141,64 @@ TEST_F(StoreTest, FailedAppendLeavesStoreUntouched) {
   ASSERT_TRUE(store.append(next_block(), *signer_.verifier()));
   const std::size_t size = store.size();
   const auto* latest = store.latest();
-  Block bad = next_block();
-  bad.merkle_root[0] ^= 1;
+  const BlockPtr bad =
+      forge(next_block(), [](Block::Header& h) { h.merkle_root[0] ^= 1; });
   EXPECT_FALSE(store.append(bad, *signer_.verifier()));
   EXPECT_EQ(store.size(), size);
   EXPECT_EQ(store.latest(), latest);
+}
+
+TEST_F(StoreTest, AppendKeepsTheCallersHandle) {
+  BlockStore store;
+  const BlockPtr b = next_block();
+  ASSERT_TRUE(store.append(b, *signer_.verifier()));
+  EXPECT_EQ(store.latest(), b.get());
+  EXPECT_EQ(store.by_seq(b->seq()), b);
+}
+
+/// A checkpoint section in BlockStore's layout: depth bound, then each
+/// block's serialize() bytes.
+Bytes store_section(std::uint64_t max_depth, const std::vector<BlockPtr>& blocks) {
+  ByteWriter w;
+  w.u64(max_depth);
+  w.u32(static_cast<std::uint32_t>(blocks.size()));
+  for (const BlockPtr& b : blocks) w.bytes(b->serialize());
+  return w.take();
+}
+
+TEST_F(StoreTest, CheckpointRoundTripRestoresEveryBlock) {
+  BlockStore store(3);
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.append(next_block(), *signer_.verifier()));
+  ByteWriter w;
+  store.checkpoint_save(w);
+  const Bytes saved = w.take();
+  BlockStore back;
+  ByteReader r(saved);
+  ASSERT_TRUE(back.checkpoint_restore(r));
+  EXPECT_EQ(back.max_depth(), 3u);
+  ASSERT_EQ(back.size(), 3u);
+  EXPECT_EQ(back.latest()->hash(), store.latest()->hash());
+  ByteWriter again;
+  back.checkpoint_save(again);
+  EXPECT_EQ(again.take(), saved);
+}
+
+TEST_F(StoreTest, CheckpointRestoreRejectsMoreBlocksThanDepth) {
+  const std::vector<BlockPtr> blocks = {next_block(), next_block(), next_block()};
+  const Bytes section = store_section(2, blocks);
+  BlockStore store;
+  ByteReader r(section);
+  EXPECT_FALSE(store.checkpoint_restore(r));
+}
+
+TEST_F(StoreTest, CheckpointRestoreRejectsNonConsecutiveSeqs) {
+  const BlockPtr b0 = next_block();
+  next_block();  // seq 1 is skipped
+  const BlockPtr b2 = next_block();
+  const Bytes section = store_section(8, {b0, b2});
+  BlockStore store;
+  ByteReader r(section);
+  EXPECT_FALSE(store.checkpoint_restore(r));
 }
 
 }  // namespace

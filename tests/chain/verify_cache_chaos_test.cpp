@@ -1,12 +1,12 @@
-// Chaos coverage for the cached block-verification fan-out: the
-// signature-verification cache must never let a forged block ride its
-// honest twin's cached verdict, and the parallel fan-out must agree with
-// the sequential path under every pool size (TSan vets the synchronization
-// when this suite runs under SANITIZE=thread).
+// Chaos coverage for cached block verification: the signature-verification
+// cache must never let a forged block ride its honest twin's cached verdict,
+// and one cache shared by the receivers of a block fanned across a worker
+// pool must agree with the sequential path under every pool size (TSan vets
+// the cache's lock when this suite runs under SANITIZE=thread). Forged
+// blocks are built through Block(Header, plans).
 #include <gtest/gtest.h>
 
 #include "chain/block.h"
-#include "chain/fanout.h"
 #include "chain/store.h"
 #include "crypto/verify_cache.h"
 #include "util/rng.h"
@@ -47,22 +47,34 @@ class VerifyCacheChaosTest : public ::testing::Test {
     delete signer_;
     signer_ = nullptr;
   }
-  void SetUp() override {
-    crypto::SigVerifyCache::instance().clear();
-    crypto::SigVerifyCache::instance().reset_stats();
+  /// out[i] = verifiers[i] accepts `block`'s signature and its Merkle root
+  /// checks out, each receiver's check run on `pool`. uint8_t, not bool: the
+  /// slots must be independently writable across threads.
+  static std::vector<std::uint8_t> verify_on_pool(
+      const Block& block, const std::vector<const crypto::Verifier*>& verifiers,
+      util::WorkerPool& pool) {
+    std::vector<std::uint8_t> out(verifiers.size(), 0);
+    pool.for_each(verifiers.size(), [&](std::size_t i) {
+      out[i] = block.verify_signature(*verifiers[i]) && block.verify_merkle() ? 1 : 0;
+    });
+    return out;
   }
-  void TearDown() override {
-    crypto::SigVerifyCache::instance().clear();
-    crypto::SigVerifyCache::instance().reset_stats();
+
+  static Block forge(const Block& honest, void (*tamper)(Block::Header&)) {
+    Block::Header h = honest.header();
+    tamper(h);
+    return Block(std::move(h), honest.plans());
   }
+
   static crypto::RsaSigner* signer_;
+  crypto::SigVerifyCache cache_;
 };
 
 crypto::RsaSigner* VerifyCacheChaosTest::signer_ = nullptr;
 
 TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
-  auto& cache = crypto::SigVerifyCache::instance();
-  const auto verifier = signer_->verifier();
+  auto& cache = cache_;
+  const auto verifier = signer_->verifier_with_cache(cache);
   const Block honest = make_signed_block(*signer_, 1, crypto::Digest{}, 4);
 
   // Honest block: first verification misses and computes, second hits.
@@ -74,8 +86,7 @@ TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
   // Forge a twin: same plans, same signature, one header field altered.
   // Its signed payload differs, so its cache key cannot alias the honest
   // entry — the forgery is recomputed (miss) and rejected.
-  Block forged = honest;
-  forged.timestamp += 1;
+  const Block forged = forge(honest, [](Block::Header& h) { h.timestamp += 1; });
   EXPECT_FALSE(forged.verify_signature(*verifier));
   EXPECT_EQ(cache.stats().misses, 2u);
 
@@ -86,33 +97,33 @@ TEST_F(VerifyCacheChaosTest, TamperedTwinRejectedAfterHonestHit) {
 }
 
 TEST_F(VerifyCacheChaosTest, TamperedPlansStillRejectedByMerkle) {
-  const auto verifier = signer_->verifier();
-  Block forged = make_signed_block(*signer_, 2, crypto::Digest{}, 4);
-  EXPECT_TRUE(forged.verify_signature(*verifier));
-  EXPECT_TRUE(forged.verify_merkle());
-  forged.mutable_plans()[1].segments[0].v_mps = 99.0;
+  const auto verifier = signer_->verifier_with_cache(cache_);
+  const Block honest = make_signed_block(*signer_, 2, crypto::Digest{}, 4);
+  EXPECT_TRUE(honest.verify_signature(*verifier));
+  EXPECT_TRUE(honest.verify_merkle());
+  std::vector<aim::TravelPlan> plans = honest.plans();
+  plans[1].segments[0].v_mps = 99.0;
+  const auto forged = std::make_shared<const Block>(honest.header(), std::move(plans));
   // Signature still verifies (the payload only carries the Merkle root),
   // but the recomputed tree exposes the forged instruction.
-  EXPECT_TRUE(forged.verify_signature(*verifier));
-  EXPECT_FALSE(forged.verify_merkle());
+  EXPECT_TRUE(forged->verify_signature(*verifier));
+  EXPECT_FALSE(forged->verify_merkle());
 
   BlockStore store;
   EXPECT_FALSE(store.append(forged, *verifier).has_value());
 }
 
 TEST_F(VerifyCacheChaosTest, FanoutMatchesSequentialForEveryPoolSize) {
-  auto& cache = crypto::SigVerifyCache::instance();
-  const auto verifier_sp = signer_->verifier();
   const Block block = make_signed_block(*signer_, 3, crypto::Digest{}, 8);
 
-  // 64 receivers sharing one IM verifier (the simulator's shape).
-  std::vector<const crypto::Verifier*> verifiers(64, verifier_sp.get());
-
   for (const int threads : {1, 2, 4}) {
-    cache.clear();
-    cache.reset_stats();
+    // 64 receivers sharing one IM verifier and its fresh cache (the
+    // simulator's shape).
+    crypto::SigVerifyCache cache;
+    const auto verifier_sp = signer_->verifier_with_cache(cache);
+    std::vector<const crypto::Verifier*> verifiers(64, verifier_sp.get());
     util::WorkerPool pool(threads);
-    const auto results = fanout_verify(block, verifiers, pool);
+    const auto results = verify_on_pool(block, verifiers, pool);
     ASSERT_EQ(results.size(), verifiers.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
       EXPECT_EQ(results[i], 1) << "receiver " << i << ", pool " << threads;
@@ -132,12 +143,12 @@ TEST_F(VerifyCacheChaosTest, FanoutMatchesSequentialForEveryPoolSize) {
 }
 
 TEST_F(VerifyCacheChaosTest, FanoutRejectsForgeryUnderThreads) {
-  const auto verifier_sp = signer_->verifier();
-  Block forged = make_signed_block(*signer_, 4, crypto::Digest{}, 4);
-  forged.seq += 1;  // breaks the signature
+  const auto verifier_sp = signer_->verifier_with_cache(cache_);
+  const Block forged = forge(make_signed_block(*signer_, 4, crypto::Digest{}, 4),
+                             [](Block::Header& h) { h.seq += 1; });  // breaks the signature
   std::vector<const crypto::Verifier*> verifiers(32, verifier_sp.get());
   util::WorkerPool pool(4);
-  const auto results = fanout_verify(forged, verifiers, pool);
+  const auto results = verify_on_pool(forged, verifiers, pool);
   for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], 0);
 }
 

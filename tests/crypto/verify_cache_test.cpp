@@ -1,7 +1,11 @@
 // SigVerifyCache contract: pure-function memoization with exact hit/miss
-// accounting, FIFO bounded capacity, and key-rotation safety. Plus the
-// RsaVerifyContext fast path, which must agree with rsa_verify bit-for-bit.
+// accounting, FIFO bounded capacity, key-rotation safety, and a checkpoint
+// section that round-trips byte for byte and rejects malformed input. Plus
+// the RsaVerifyContext fast path, which must agree with rsa_verify
+// bit-for-bit.
 #include <gtest/gtest.h>
+
+#include <vector>
 
 #include "crypto/rsa.h"
 #include "crypto/signer.h"
@@ -61,13 +65,120 @@ TEST(SigVerifyCache, CapacityZeroDisablesCaching) {
   EXPECT_FALSE(cache.lookup(digest_of(3)).has_value());
 }
 
-TEST(SigVerifyCache, ShrinkingCapacityEvictsImmediately) {
-  SigVerifyCache cache(8);
-  for (std::uint8_t i = 0; i < 8; ++i) cache.store(digest_of(i), true);
-  cache.set_capacity(2);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(digest_of(7)).has_value());
-  EXPECT_FALSE(cache.lookup(digest_of(0)).has_value());
+/// Key number `i`: byte 8 (the checkpoint list selector) cycles through all
+/// 16 lists, bytes 0-1 keep every key distinct.
+Digest spread_key(int i) {
+  Digest d{};
+  d[0] = static_cast<std::uint8_t>(i);
+  d[1] = static_cast<std::uint8_t>(i >> 8);
+  d[8] = static_cast<std::uint8_t>((i * 7) % 16);
+  return d;
+}
+
+TEST(SigVerifyCache, OverflowEvictsExactlyTheOldestAcrossAllGroups) {
+  SigVerifyCache cache(20);
+  for (int i = 0; i < 50; ++i) cache.store(spread_key(i), i % 3 != 0);
+  EXPECT_EQ(cache.size(), 20u);
+  EXPECT_EQ(cache.stats().evictions, 30u);
+  for (int i = 0; i < 50; ++i) {
+    const auto verdict = cache.lookup(spread_key(i));
+    ASSERT_EQ(verdict.has_value(), i >= 30) << "key " << i;
+    if (verdict) {
+      EXPECT_EQ(*verdict, i % 3 != 0) << "key " << i;
+    }
+  }
+}
+
+Bytes saved(const SigVerifyCache& cache) {
+  ByteWriter w;
+  cache.checkpoint_save(w);
+  return w.take();
+}
+
+TEST(SigVerifyCache, SaveRestoreSaveIsByteEqual) {
+  SigVerifyCache cache(24);
+  for (int i = 0; i < 40; ++i) cache.store(spread_key(i), i % 2 == 0);
+  (void)cache.lookup(spread_key(39));
+  (void)cache.lookup(spread_key(0));
+  const Bytes first = saved(cache);
+
+  SigVerifyCache back(1);  // capacity comes from the section
+  ByteReader r(first);
+  ASSERT_TRUE(back.checkpoint_restore(r));
+  EXPECT_EQ(back.capacity(), 24u);
+  EXPECT_EQ(back.size(), 24u);
+  EXPECT_EQ(saved(back), first);
+
+  // The restored FIFO is the original one: both caches evict the same keys.
+  for (int i = 40; i < 50; ++i) {
+    cache.store(spread_key(i), true);
+    back.store(spread_key(i), true);
+  }
+  EXPECT_EQ(saved(back), saved(cache));
+}
+
+/// One checkpoint entry: (seq, key, verdict) in list `list`.
+struct CraftedEntry {
+  std::size_t list;
+  std::uint64_t seq;
+  Digest key;
+};
+
+Bytes crafted_section(std::uint64_t capacity, const std::vector<CraftedEntry>& entries) {
+  ByteWriter w;
+  w.u64(capacity);
+  w.u64(100);  // next seq
+  for (int i = 0; i < 4; ++i) w.u64(0);  // hits, misses, insertions, evictions
+  for (std::size_t list = 0; list < 16; ++list) {
+    std::uint32_t n = 0;
+    for (const CraftedEntry& e : entries) n += e.list == list ? 1 : 0;
+    w.u32(n);
+    for (const CraftedEntry& e : entries) {
+      if (e.list != list) continue;
+      w.u64(e.seq);
+      w.bytes(e.key);
+      w.u8(1);
+    }
+  }
+  return w.take();
+}
+
+bool restores(const Bytes& section) {
+  SigVerifyCache cache;
+  ByteReader r(section);
+  return cache.checkpoint_restore(r);
+}
+
+TEST(SigVerifyCache, CraftedSectionWellFormedIsAccepted) {
+  const Digest a = spread_key(1);
+  const Digest b = spread_key(2);
+  EXPECT_TRUE(restores(crafted_section(4, {{a[8] % 16u, 3, a}, {b[8] % 16u, 5, b}})));
+}
+
+TEST(SigVerifyCache, RestoreRejectsDuplicateKey) {
+  const Digest a = spread_key(1);
+  EXPECT_FALSE(restores(crafted_section(4, {{a[8] % 16u, 3, a}, {a[8] % 16u, 4, a}})));
+  // Also when the twin hides in another list.
+  EXPECT_FALSE(restores(crafted_section(4, {{a[8] % 16u, 3, a}, {(a[8] + 1) % 16u, 4, a}})));
+}
+
+TEST(SigVerifyCache, RestoreRejectsSeqsNotIncreasingWithinAList) {
+  const Digest a = spread_key(1);
+  Digest b = spread_key(2);
+  b[8] = a[8];  // same list
+  EXPECT_FALSE(restores(crafted_section(4, {{a[8] % 16u, 5, a}, {b[8] % 16u, 5, b}})));
+  EXPECT_FALSE(restores(crafted_section(4, {{a[8] % 16u, 5, a}, {b[8] % 16u, 4, b}})));
+}
+
+TEST(SigVerifyCache, RestoreRejectsMoreEntriesThanCapacity) {
+  std::vector<CraftedEntry> entries;
+  for (int i = 0; i < 3; ++i) {
+    const Digest k = spread_key(i);
+    entries.push_back({k[8] % 16u, static_cast<std::uint64_t>(i), k});
+  }
+  EXPECT_TRUE(restores(crafted_section(3, entries)));
+  EXPECT_FALSE(restores(crafted_section(2, entries)));
+  EXPECT_FALSE(restores(crafted_section(0, entries)));
 }
 
 TEST(SigVerifyCache, KeyOfSeparatesEveryInput) {
@@ -137,13 +248,10 @@ TEST_F(RsaVerifyContextTest, FingerprintChangesWithKey) {
   EXPECT_EQ(a.fingerprint(), RsaVerifyContext(key_pair_->pub).fingerprint());
 }
 
-TEST_F(RsaVerifyContextTest, RsaVerifierPopulatesProcessCache) {
-  auto& cache = SigVerifyCache::instance();
-  cache.clear();
-  cache.reset_stats();
-
+TEST_F(RsaVerifyContextTest, RsaVerifierWithCachePopulatesThatCache) {
+  SigVerifyCache cache;
   const RsaSigner signer(*key_pair_);
-  const auto verifier = signer.verifier();
+  const auto verifier = signer.verifier_with_cache(cache);
   const Bytes msg{'b', 'l', 'o', 'c', 'k'};
   const Bytes sig = signer.sign(msg);
 
@@ -156,18 +264,22 @@ TEST_F(RsaVerifyContextTest, RsaVerifierPopulatesProcessCache) {
 
   // A second verifier for the SAME key shares the entries (fingerprint
   // equality), which is exactly the N-receivers-one-modexp effect.
-  const auto verifier2 = RsaSigner(*key_pair_).verifier();
+  const auto verifier2 = RsaSigner(*key_pair_).verifier_with_cache(cache);
   EXPECT_TRUE(verifier2->verify(msg, sig));
   EXPECT_EQ(cache.stats().hits, 3u);
 
   // A different key never aliases: same msg/sig, fresh fingerprint -> miss.
   Rng rng(88);
   const RsaSigner other(rsa_generate(rng, 512));
-  EXPECT_FALSE(other.verifier()->verify(msg, sig));
+  EXPECT_FALSE(other.verifier_with_cache(cache)->verify(msg, sig));
   EXPECT_EQ(cache.stats().misses, 2u);
 
-  cache.clear();
-  cache.reset_stats();
+  // The plain verifier memoizes nowhere.
+  const Bytes other_msg{'b', 'l', 'o', 'c', 'K'};
+  EXPECT_TRUE(signer.verifier()->verify(msg, sig));
+  EXPECT_FALSE(signer.verifier()->verify(other_msg, sig));
+  EXPECT_EQ(cache.stats().hits + cache.stats().misses, 5u);
+  EXPECT_EQ(cache.size(), 2u);
 }
 
 }  // namespace

@@ -84,7 +84,7 @@ TEST(Idempotency, BlockSeqGapTriggersBoundedRecoveryAndResync) {
   ASSERT_NE(latest, nullptr);
   // The resync below replaces the store's contents, so `latest` dangles once
   // the gap block is handled; keep only its sequence number.
-  const chain::BlockSeq base_seq = latest->seq;
+  const chain::BlockSeq base_seq = latest->seq();
   const Tick issued = h.vehicle(1).plan()->issued_at;
 
   // A block three sequence numbers ahead arrives (the two between were lost
@@ -99,7 +99,7 @@ TEST(Idempotency, BlockSeqGapTriggersBoundedRecoveryAndResync) {
 
   EXPECT_EQ(h.metrics().gap_block_requests, 2);  // seq+1 and seq+2, no more
   ASSERT_NE(h.vehicle(1).store().latest(), nullptr);
-  EXPECT_EQ(h.vehicle(1).store().latest()->seq, base_seq + 3);
+  EXPECT_EQ(h.vehicle(1).store().latest()->seq(), base_seq + 3);
   EXPECT_EQ(h.vehicle(1).store().size(), 1u);  // resynced from the gap block
   ASSERT_TRUE(h.vehicle(1).has_plan());
   EXPECT_EQ(h.vehicle(1).plan()->issued_at, issued);  // own plan survives

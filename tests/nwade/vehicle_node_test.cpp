@@ -115,12 +115,13 @@ TEST(BlockVerification, TamperedBroadcastTriggersSelfEvacuation) {
   h.run_until(2'000);
   ASSERT_TRUE(v.has_plan());
   // Forge a block with a bad signature and hand-deliver it.
-  chain::Block forged;
+  chain::Block::Header forged;
   forged.seq = 99;
   forged.timestamp = h.now();
   forged.signature = Bytes{1, 2, 3};
   auto msg = std::make_shared<BlockBroadcast>();
-  msg->block = std::make_shared<chain::Block>(forged);
+  msg->block = std::make_shared<chain::Block>(std::move(forged),
+                                              std::vector<aim::TravelPlan>{});
   net::Envelope env{kImNodeId, v.node_id(), true, h.now(), msg};
   v.on_message(env);
   EXPECT_TRUE(v.self_evacuating());
@@ -149,7 +150,7 @@ TEST(BlockVerification, RevokedListAdoptedFromChain) {
   // Build a legitimate next block carrying a revocation.
   const chain::Block* latest = v.store().latest();
   ASSERT_NE(latest, nullptr);
-  chain::Block next = chain::Block::package(latest->seq + 1, latest->hash(),
+  chain::Block next = chain::Block::package(latest->seq() + 1, latest->hash(),
                                             h.now(), {}, h.signer(), {VehicleId{77}});
   auto msg = std::make_shared<BlockBroadcast>();
   msg->block = std::make_shared<chain::Block>(next);
@@ -157,7 +158,50 @@ TEST(BlockVerification, RevokedListAdoptedFromChain) {
   EXPECT_FALSE(v.self_evacuating());
   // The revocation is visible indirectly: watch will never report 77, and
   // more importantly verification accepted the signed revocation block.
-  EXPECT_EQ(v.store().latest()->revoked.size(), 1u);
+  EXPECT_EQ(v.store().latest()->revoked().size(), 1u);
+}
+
+/// Records every message delivered to one node id.
+class Probe final : public net::Node {
+ public:
+  explicit Probe(NodeId id) : id_(id) {}
+  NodeId node_id() const override { return id_; }
+  geom::Vec2 position() const override { return {0, 0}; }
+  void on_message(const net::Envelope& env) override { received.push_back(env.msg); }
+  std::vector<std::shared_ptr<const net::Message>> received;
+
+ private:
+  NodeId id_;
+};
+
+TEST(BlockSharing, ReceiversHoldTheBroadcastBlockAndServeItsHandle) {
+  Harness h;
+  auto& a = h.spawn(1, 0);
+  auto& b = h.spawn(2, 3);
+  h.run_until(2'000);
+  ASSERT_GT(a.store().size(), 0u);
+  // Both received the same broadcast, so both stores hold the same object —
+  // one Block per broadcast, not one copy per vehicle.
+  const chain::BlockPtr& held = a.store().blocks().back();
+  ASSERT_EQ(b.store().latest(), held.get());
+  EXPECT_EQ(b.store().by_seq(held->seq()), held);
+
+  // A peer asking vehicle 1 for that block gets the very same handle back.
+  Probe peer(vehicle_node(VehicleId{99}));
+  h.network().add_node(&peer);
+  auto req = std::make_shared<BlockRequest>();
+  req->requester = VehicleId{99};
+  req->by_seq = true;
+  req->seq = held->seq();
+  a.on_message(net::Envelope{peer.node_id(), a.node_id(), true, h.now(), req});
+  h.run_until(h.now() + 200);
+  h.network().remove_node(peer.node_id());
+  const BlockResponse* resp = nullptr;
+  for (const auto& m : peer.received) {
+    if (const auto* r = dynamic_cast<const BlockResponse*>(m.get())) resp = r;
+  }
+  ASSERT_NE(resp, nullptr);
+  EXPECT_EQ(resp->block, held);
 }
 
 TEST(GlobalReports, FalseConflictClaimRefuted) {
@@ -170,7 +214,7 @@ TEST(GlobalReports, FalseConflictClaimRefuted) {
   auto gr = std::make_shared<GlobalReport>();
   gr->reporter = VehicleId{2};
   gr->reason = GlobalReason::kConflictingPlans;
-  gr->block_seq = v1.store().latest()->seq;
+  gr->block_seq = v1.store().latest()->seq();
   v1.on_message(net::Envelope{vehicle_node(VehicleId{2}), v1.node_id(), true,
                               h.now(), gr});
   // v1 verified that block itself: it must NOT self-evacuate, and it files a

@@ -8,7 +8,6 @@
 #include <string>
 #include <vector>
 
-#include "crypto/verify_cache.h"
 
 namespace nwade::sim {
 namespace {
@@ -87,25 +86,29 @@ TEST(Campaign, AggregateGroupsRoundsPerMatrixPoint) {
 }
 
 // Worlds inject a per-run SigVerifyCache into their vehicles' verifiers, so
-// an RSA campaign cell must leave the process-wide singleton cache untouched
-// — that isolation is what lets concurrent cells share nothing.
-TEST(Campaign, RsaRunsUseThePerWorldCacheNotTheSingleton) {
-  auto& singleton = crypto::SigVerifyCache::instance();
-  singleton.reset();
-
+// an RSA run memoizes in its own cache and starts from an empty one — that
+// isolation is what lets concurrent cells share nothing. A second identical
+// run therefore reports exactly the first run's misses (a cache shared
+// across runs would turn them into hits).
+TEST(Campaign, RsaRunsMemoizeInTheirOwnWorldCache) {
   ScenarioConfig sc;
   sc.intersection.kind = traffic::IntersectionKind::kCross4;
   sc.vehicles_per_minute = 60;
   sc.duration_ms = 10'000;
   sc.seed = 3;
   sc.signer = SignerKind::kRsa1024;
-  const RunSummary summary = World(sc).run();
-  EXPECT_GT(summary.metrics.blocks_published, 0);
+  const RunSummary first = World(sc).run();
+  EXPECT_GT(first.metrics.blocks_published, 0);
+  const auto& gauges = first.metrics_snapshot.gauges;
+  const std::int64_t misses = gauges.at("crypto.sig_cache.misses");
+  EXPECT_GT(misses, 0);
+  EXPECT_LE(misses, first.metrics.blocks_published);
+  EXPECT_GT(gauges.at("crypto.sig_cache.hits"), 0);
 
-  const auto stats = singleton.stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 0u);
-  EXPECT_EQ(singleton.size(), 0u);
+  const RunSummary second = World(sc).run();
+  EXPECT_EQ(second.metrics_snapshot.gauges.at("crypto.sig_cache.misses"), misses);
+  EXPECT_EQ(second.metrics_snapshot.gauges.at("crypto.sig_cache.hits"),
+            gauges.at("crypto.sig_cache.hits"));
 }
 
 }  // namespace

@@ -12,10 +12,15 @@
 //    grid seed 11, chain_depth 2, 40 s, exchange every 500 ms, gossip every
 //    1 s; saved at 28.5 s, the first exchange boundary after the first
 //    handoff at which a shard's vehicles were no longer spawned in id order.
+//  * world_rsa1024_v1.ckpt — the world_v1 scenario with an RSA-1024 signer,
+//    so the signature-verification cache section carries entries; saved at
+//    15 s by the writer that still copied blocks into every store and
+//    sharded the cache. Today's writer must reproduce it byte for byte.
 #include <gtest/gtest.h>
 
 #include <fstream>
 #include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -54,6 +59,73 @@ TEST(CheckpointCompat, GridBlobWithHandoffsContinuesToItsDigest) {
   EXPECT_EQ(grid->now(), 28'500);
   EXPECT_EQ(Grid::summary_digest(grid->run()),
             "4bf80ed753410f10f9aaa50730ba2b6f473c941707e2ef83b64603bf9d655fc0");
+}
+
+/// The envelope's named sections (docs/CHECKPOINT.md): schema string, count,
+/// then (name, crc, length-prefixed payload) per section.
+std::map<std::string, Bytes> sections_of(const Bytes& blob) {
+  ByteReader r(blob);
+  EXPECT_EQ(r.str(), checkpoint::kCheckpointSchema);
+  const std::uint32_t n = r.u32();
+  std::map<std::string, Bytes> out;
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    std::string name = r.str();
+    (void)r.u32();  // crc
+    out[std::move(name)] = r.bytes();
+  }
+  EXPECT_TRUE(r.ok() && r.at_end());
+  return out;
+}
+
+constexpr const char* kRsaDigest =
+    "ef61caf44bd5e390b9dd77e432b4d1a3e133d214589c7cf3cf256009d712338c";
+
+TEST(CheckpointCompat, RsaWorldBlobResavesByteEqualAndContinuesToItsDigest) {
+  const Bytes blob = read_fixture("world_rsa1024_v1.ckpt");
+  ASSERT_FALSE(blob.empty());
+  // capacity, next seq, 4 counters, then 16 entry lists: non-empty lists
+  // make the section longer than 48 + 16 * 4 bytes.
+  EXPECT_GT(sections_of(blob).at("crypto").size(), 48u + 16u * 4u);
+  std::string error;
+  const std::unique_ptr<World> world = World::checkpoint_restore(blob, &error);
+  ASSERT_NE(world, nullptr) << error;
+  EXPECT_EQ(world->now(), 15'000);
+  EXPECT_EQ(world->checkpoint_save(), blob);
+  world->run_until(world->config().duration_ms);
+  EXPECT_EQ(checkpoint::run_summary_digest(world->summary()), kRsaDigest);
+}
+
+TEST(CheckpointCompat, FreshRsaSaveEqualsEarlierWriterBeyondWallClockSamples) {
+  // A fresh run of the fixture's scenario saved at the same instant writes
+  // the same bytes as the earlier writer. The only exception is the metrics
+  // section's wall-clock timing samples (im_package_us, vehicle_verify_us),
+  // which no two runs share; that section is compared without them.
+  const Bytes blob = read_fixture("world_rsa1024_v1.ckpt");
+  const std::unique_ptr<World> restored = World::checkpoint_restore(blob);
+  ASSERT_NE(restored, nullptr);
+  World fresh(restored->config());
+  fresh.run_until(15'000);
+  const std::map<std::string, Bytes> want = sections_of(blob);
+  const std::map<std::string, Bytes> got = sections_of(fresh.checkpoint_save());
+  ASSERT_EQ(got.size(), want.size());
+  for (const auto& [name, payload] : want) {
+    ASSERT_TRUE(got.contains(name)) << name;
+    if (name != "metrics") {
+      EXPECT_EQ(got.at(name), payload) << "section " << name;
+      continue;
+    }
+    const auto deterministic = [](const Bytes& section) {
+      protocol::Metrics m;
+      ByteReader r(section);
+      EXPECT_TRUE(checkpoint::load_metrics(r, m));
+      ByteWriter w;
+      checkpoint::save_metrics(w, m, /*include_wall_samples=*/false);
+      return w.take();
+    };
+    EXPECT_EQ(deterministic(got.at(name)), deterministic(payload));
+  }
+  fresh.run_until(fresh.config().duration_ms);
+  EXPECT_EQ(checkpoint::run_summary_digest(fresh.summary()), kRsaDigest);
 }
 
 TEST(CheckpointCompat, ResaveKeepsLayoutAndIsStable) {

@@ -25,7 +25,7 @@ TEST(TelemetryAllocGate, WarmedCounterAndGaugeWritesAreAllocationFree) {
   telemetry::Registry r;
   telemetry::Counter c = r.counter("gate.counter");  // registration may alloc
   telemetry::Gauge g = r.gauge("gate.gauge");
-  c.inc();  // warm-up (shard index assignment is thread_local state)
+  c.inc();  // warm-up
   g.set(1);
 
   const std::uint64_t before = thread_alloc_count();

@@ -122,9 +122,9 @@ TEST(Telemetry, MergeAddsCountersAndHistogramsGaugesLastWin) {
 }
 
 TEST(Telemetry, SnapshotIsByteIdenticalAcrossPoolSizes) {
-  // The determinism contract: integer metrics + commutative shard merge =>
+  // The determinism contract: integer metrics + commutative addition =>
   // the snapshot is a pure function of the increments, not of which thread
-  // performed them. Chaos-labeled so the TSan tree vets the sharded cells.
+  // performed them. Chaos-labeled so the TSan tree vets the atomic cells.
   const auto run = [](int threads) {
     Registry r;
     Counter c = r.counter("work.items");
