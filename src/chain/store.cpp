@@ -1,6 +1,21 @@
 #include "chain/store.h"
 
+#include <algorithm>
+#include <functional>
+
 namespace nwade::chain {
+namespace {
+
+bool by_vehicle(const BlockStore::PlanRef& r, VehicleId id) { return r.vehicle < id; }
+
+/// True when `p` points into `block`'s plans.
+bool holds(const Block& block, const aim::TravelPlan* p) {
+  const std::vector<aim::TravelPlan>& plans = block.plans();
+  const std::less<const aim::TravelPlan*> less;
+  return !less(p, plans.data()) && less(p, plans.data() + plans.size());
+}
+
+}  // namespace
 
 const char* chain_error_name(ChainError e) {
   switch (e) {
@@ -24,8 +39,28 @@ Result<void, ChainError> BlockStore::append(BlockPtr block,
     if (block->timestamp() < prev.timestamp()) return ChainError::kStaleTimestamp;
   }
   blocks_.push_back(std::move(block));
-  while (blocks_.size() > max_depth_) blocks_.pop_front();
+  index_plans(*blocks_.back());
+  while (blocks_.size() > max_depth_) evict_oldest();
   return Result<void, ChainError>::ok();
+}
+
+void BlockStore::index_plans(const Block& block) {
+  for (const aim::TravelPlan& p : block.plans()) {
+    const auto it = std::lower_bound(index_.begin(), index_.end(), p.vehicle, by_vehicle);
+    if (it == index_.end() || it->vehicle != p.vehicle) {
+      index_.insert(it, PlanRef{p.vehicle, &p});
+    } else if (!holds(block, it->plan)) {
+      it->plan = &p;  // an entry into `block` is an earlier duplicate: it wins
+    }
+  }
+}
+
+void BlockStore::evict_oldest() {
+  // No older block is cached, so an entry into the evicted block has no
+  // older plan to fall back to.
+  const Block& oldest = *blocks_.front();
+  std::erase_if(index_, [&](const PlanRef& r) { return holds(oldest, r.plan); });
+  blocks_.pop_front();
 }
 
 std::vector<BlockSeq> BlockStore::missing_before(BlockSeq incoming,
@@ -59,20 +94,20 @@ bool BlockStore::checkpoint_restore(ByteReader& r) {
   // Each block is >= 1 byte; a live store never holds more than its depth.
   if (!r.ok() || n > r.remaining() || n > max_depth_) return false;
   blocks_.clear();
+  index_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
     std::optional<Block> b = Block::deserialize(r.bytes());
     if (!r.ok() || !b) return false;
     if (!blocks_.empty() && b->seq() != blocks_.back()->seq() + 1) return false;
     blocks_.push_back(std::make_shared<const Block>(std::move(*b)));
+    index_plans(*blocks_.back());
   }
   return true;
 }
 
 const aim::TravelPlan* BlockStore::find_plan(VehicleId id) const {
-  for (auto it = blocks_.rbegin(); it != blocks_.rend(); ++it) {
-    if (const aim::TravelPlan* p = (*it)->plan_for(id)) return p;
-  }
-  return nullptr;
+  const auto it = std::lower_bound(index_.begin(), index_.end(), id, by_vehicle);
+  return it != index_.end() && it->vehicle == id ? it->plan : nullptr;
 }
 
 }  // namespace nwade::chain

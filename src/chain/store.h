@@ -62,9 +62,22 @@ class BlockStore {
   /// All cached blocks, oldest first.
   const std::deque<BlockPtr>& blocks() const { return blocks_; }
 
+  /// One entry of the id→plan index (16 bytes).
+  struct PlanRef {
+    VehicleId vehicle;
+    const aim::TravelPlan* plan;
+  };
+
   /// Finds a vehicle's most recent plan across cached blocks (newest wins —
-  /// evacuation/recovery plans supersede older ones).
+  /// evacuation/recovery plans supersede older ones; within one block the
+  /// first plan for an id wins, as in Block::plan_for). A binary search of
+  /// plans_by_id().
   const aim::TravelPlan* find_plan(VehicleId id) const;
+
+  /// Every vehicle with a cached plan in ascending id order, each paired
+  /// with the plan find_plan returns for it. Maintained on append, eviction
+  /// and restore; the pointers point into the cached blocks.
+  const std::vector<PlanRef>& plans_by_id() const { return index_; }
 
   // --- checkpoint/restore (sim/checkpoint) ----------------------------------
 
@@ -80,8 +93,14 @@ class BlockStore {
   bool checkpoint_restore(ByteReader& r);
 
  private:
+  /// Folds `block`, the newest cached block, into index_.
+  void index_plans(const Block& block);
+  /// Drops the oldest cached block and its index entries.
+  void evict_oldest();
+
   std::size_t max_depth_;
   std::deque<BlockPtr> blocks_;
+  std::vector<PlanRef> index_;  ///< ascending vehicle id
 };
 
 }  // namespace nwade::chain

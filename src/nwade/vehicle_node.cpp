@@ -50,6 +50,7 @@ VehicleNode::VehicleNode(VehicleContext ctx, VehicleId id, int route_id,
          ctx_.sensors && ctx_.metrics && ctx_.malicious_ids);
   // Sized so a fresh vehicle's first watch scans don't grow the buffer.
   obs_scratch_.reserve(64);
+  refresh_ground_truth();
 }
 
 void VehicleNode::trace_instant(const char* cat, const char* name,
@@ -59,7 +60,7 @@ void VehicleNode::trace_instant(const char* cat, const char* name,
                        static_cast<std::int64_t>(id_.value));
 }
 
-geom::Vec2 VehicleNode::position() const {
+geom::Vec2 VehicleNode::live_position() const {
   const auto& route = ctx_.intersection->route(route_id_);
   const geom::Vec2 on_path = route.path.point_at(s_);
   if (lateral_offset_ == 0.0) return on_path;
@@ -67,12 +68,10 @@ geom::Vec2 VehicleNode::position() const {
   return on_path + normal * lateral_offset_;
 }
 
-traffic::VehicleStatus VehicleNode::ground_truth() const {
-  traffic::VehicleStatus st;
-  st.position = position();
-  st.speed_mps = v_;
-  st.heading_rad = ctx_.intersection->route(route_id_).path.heading_at(s_);
-  return st;
+void VehicleNode::refresh_ground_truth() {
+  truth_.position = live_position();
+  truth_.speed_mps = v_;
+  truth_.heading_rad = ctx_.intersection->route(route_id_).path.heading_at(s_);
 }
 
 void VehicleNode::start() {
@@ -169,6 +168,9 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
     v_ = plan_->v_at(now);
   }
   // else: preparation — hold at the communication-zone edge.
+  // Refreshed before anything below can send: beacons and plan-request
+  // retries carry (and the network ranges) this step's position.
+  refresh_ground_truth();
 
   if (s_ >= route.path.length() - 0.05) {
     if (state_ == VehicleState::kDegraded) ctx_.metrics->degraded_crossings++;
@@ -190,7 +192,7 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
       // lost packet must not trigger an evacuation.
       ++awaiting_retries_;
       if (const auto obs = ctx_.sensors->observe(awaiting_suspect_)) {
-        const auto dev = deviation_of(*obs, now);
+        const auto dev = deviation_of(*obs, lookup_plan(obs->id), now);
         if (dev && *dev > ctx_.config->deviation_tolerance_m) {
           reported_suspects_.erase(awaiting_suspect_);
           report_incident(*obs, *dev, now);
@@ -287,8 +289,8 @@ bool VehicleNode::degraded_box_clear(Tick now) const {
   samples.push_back(route.path.point_at(route.core_end));
 
   const double limit_mps = ctx_.intersection->config().limits.speed_limit_mps;
-  const auto observations =
-      ctx_.sensors->sense_around(position(), ctx_.config->sensing_radius_m, id_);
+  const auto observations = ctx_.sensors->sense_around(
+      live_position(), ctx_.config->sensing_radius_m, id_);
   for (const Observation& obs : observations) {
     double dist_to_box = std::numeric_limits<double>::max();
     geom::Vec2 nearest{};
@@ -392,7 +394,7 @@ void VehicleNode::watch(Tick now) {
   if (sham_check_suspect_ && now >= sham_check_after_) {
     for (const Observation& obs : observations) {
       if (obs.id != *sham_check_suspect_) continue;
-      const auto dev = deviation_of(obs, now);
+      const auto dev = deviation_of(obs, lookup_plan(obs.id), now);
       if (dev && *dev < 0.5 * ctx_.config->deviation_tolerance_m) {
         // The "threat" behaves exactly per plan: the alert was a sham.
         auto report = std::make_shared<GlobalReport>();
@@ -431,13 +433,13 @@ void VehicleNode::watch(Tick now) {
     // emergency maneuver), and neither is a plan issued moments ago: its
     // block may still be in flight — or lost and awaiting gap recovery — so
     // the neighbour cannot be expected to follow it yet.
-    if (const aim::TravelPlan* p = lookup_plan(obs.id);
-        p && (p->unmanaged || p->evacuation ||
+    const aim::TravelPlan* p = lookup_plan(obs.id);
+    if (p && (p->unmanaged || p->evacuation ||
               now - p->issued_at < ctx_.config->plan_grace_ms)) {
       continue;
     }
 
-    const auto dev = deviation_of(obs, now);
+    const auto dev = deviation_of(obs, p, now);
     if (!dev) {
       request_plan_block(obs.id, now);
       continue;
@@ -448,12 +450,10 @@ void VehicleNode::watch(Tick now) {
     // stationary vehicle still in the staging area at the communication-zone
     // edge is waiting for (or lost) its plan, not attacking.
     if (obs.status.speed_mps < 0.5) {
-      if (const aim::TravelPlan* p = lookup_plan(obs.id)) {
-        const auto& route = ctx_.intersection->route(p->route_id);
-        const auto [lateral, s_proj] = route.path.project(obs.status.position);
-        if (lateral > 2.5) continue;
-        if (s_proj < 30.0) continue;
-      }
+      const auto& route = ctx_.intersection->route(p->route_id);
+      const auto [lateral, s_proj] = route.path.project(obs.status.position);
+      if (lateral > 2.5) continue;
+      if (s_proj < 30.0) continue;
     }
     if (state_ != VehicleState::kSelfEvacuation) {
       set_state(VehicleState::kLocalVerification);
@@ -493,12 +493,12 @@ void VehicleNode::request_plan_block(VehicleId vehicle, Tick now) {
 }
 
 std::optional<double> VehicleNode::deviation_of(const Observation& obs,
+                                                const aim::TravelPlan* plan,
                                                 Tick now) const {
-  const aim::TravelPlan* plan = lookup_plan(obs.id);
   if (plan == nullptr) return std::nullopt;
+  // expected_status(...).position, without the speed and heading it derives.
   const auto& route = ctx_.intersection->route(plan->route_id);
-  const traffic::VehicleStatus expected = plan->expected_status(route, now);
-  return (obs.status.position - expected.position).norm();
+  return (obs.status.position - route.path.point_at(plan->s_at(now))).norm();
 }
 
 void VehicleNode::report_incident(const Observation& obs, double deviation,
@@ -605,15 +605,9 @@ bool VehicleNode::verify_block(const chain::BlockPtr& block, Tick now, std::stri
 
   // (ii), (iv): the plans themselves must be mutually conflict-free, both
   // within this block and against the cached chain (latest plan per vehicle).
-  std::map<VehicleId, const aim::TravelPlan*> latest_plans;
-  for (auto it = store_.blocks().rbegin(); it != store_.blocks().rend(); ++it) {
-    for (const aim::TravelPlan& p : (*it)->plans()) {
-      latest_plans.try_emplace(p.vehicle, &p);
-    }
-  }
   std::vector<const aim::TravelPlan*> plans;
-  plans.reserve(latest_plans.size());
-  for (const auto& [vid, p] : latest_plans) {
+  plans.reserve(store_.plans_by_id().size());
+  for (const auto& [vid, p] : store_.plans_by_id()) {
     // Confirmed threats and announced self-evacuees no longer follow their
     // chain plans; those plans are void, not conflicting.
     if (confirmed_threats_.contains(vid)) continue;
@@ -818,7 +812,7 @@ void VehicleNode::handle_verify_request(const VerifyRequest& req, Tick now) {
     const auto obs = ctx_.sensors->observe(req.suspect);
     if (obs && obs->status.position.distance_to(position()) <=
                    ctx_.config->sensing_radius_m) {
-      const auto dev = deviation_of(*obs, now);
+      const auto dev = deviation_of(*obs, lookup_plan(req.suspect), now);
       resp->abnormal = dev.has_value() && *dev > ctx_.config->deviation_tolerance_m;
       resp->evidence.suspect = req.suspect;
       resp->evidence.observed = obs->status;
@@ -921,7 +915,7 @@ void VehicleNode::handle_global_report(const GlobalReport& report, Tick now) {
                      ctx_.config->sensing_radius_m;
       if (nearby) {
         // Algorithm 3 (ii): verify locally instead of counting votes.
-        const auto dev = deviation_of(*obs, now);
+        const auto dev = deviation_of(*obs, lookup_plan(suspect), now);
         const auto rep_it = reported_suspects_.find(suspect);
         const bool recently_reported =
             rep_it != reported_suspects_.end() &&
@@ -1185,6 +1179,7 @@ bool VehicleNode::checkpoint_restore(ByteReader& r) {
   s_ = r.f64();
   v_ = r.f64();
   lateral_offset_ = r.f64();
+  refresh_ground_truth();
   if (!store_.checkpoint_restore(r)) return false;
   plan_.reset();
   if (r.u8() != 0 && !load_plan(r, plan_)) return false;

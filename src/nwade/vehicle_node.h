@@ -91,7 +91,7 @@ class VehicleNode final : public net::Node {
 
   // --- net::Node -------------------------------------------------------------
   NodeId node_id() const override { return vehicle_node(id_); }
-  geom::Vec2 position() const override;
+  geom::Vec2 position() const override { return truth_.position; }
   void on_message(const net::Envelope& env) override;
 
   // --- driven by the world ----------------------------------------------------
@@ -116,8 +116,9 @@ class VehicleNode final : public net::Node {
   double progress_s() const { return s_; }
   double speed_mps() const { return v_; }
   double lateral_offset_m() const { return lateral_offset_; }
-  /// Ground-truth observable status.
-  traffic::VehicleStatus ground_truth() const;
+  /// Ground-truth observable status, refreshed whenever the kinematics
+  /// change (construction, step(), seed_speed, checkpoint_restore).
+  const traffic::VehicleStatus& ground_truth() const { return truth_; }
   const chain::BlockStore& store() const { return store_; }
   bool has_plan() const { return plan_.has_value(); }
   const aim::TravelPlan* plan() const { return plan_ ? &*plan_ : nullptr; }
@@ -129,7 +130,10 @@ class VehicleNode final : public net::Node {
 
   /// Grid boundary handoff: seeds the carried-over entry speed right after
   /// construction, before the vehicle's first step.
-  void seed_speed(double v_mps) { v_ = v_mps; }
+  void seed_speed(double v_mps) {
+    v_ = v_mps;
+    refresh_ground_truth();
+  }
 
   // --- checkpoint/restore (sim/checkpoint) -----------------------------------
   /// Serializes all dynamic state: automaton state, kinematics, the block
@@ -160,12 +164,18 @@ class VehicleNode final : public net::Node {
   // Algorithm 1 (full block verification) — returns false on any failure.
   bool verify_block(const chain::BlockPtr& block, Tick now, std::string* why);
 
+  /// Position from the live kinematic fields; truth_ trails them while
+  /// step() is mid-kinematics.
+  geom::Vec2 live_position() const;
+  void refresh_ground_truth();
+
   // Algorithm 2 helpers.
   const aim::TravelPlan* lookup_plan(VehicleId vehicle) const;
   void request_plan_block(VehicleId vehicle, Tick now);
-  /// Compares an observation to its plan; returns the deviation in metres
-  /// (nullopt when the neighbour's plan is unknown).
-  std::optional<double> deviation_of(const Observation& obs, Tick now) const;
+  /// Distance in metres between an observation and where `plan` puts the
+  /// vehicle at `now` (nullopt when the plan is unknown, i.e. null).
+  std::optional<double> deviation_of(const Observation& obs,
+                                     const aim::TravelPlan* plan, Tick now) const;
   void report_incident(const Observation& obs, double deviation, Tick now);
 
   // Attack behaviours. The caller hands run_attack the current sensor sweep
@@ -206,6 +216,7 @@ class VehicleNode final : public net::Node {
   double s_{0};
   double v_{0};
   double lateral_offset_{0};  ///< deviators drift off the lane centreline
+  traffic::VehicleStatus truth_;  ///< ground_truth() of s_, v_, lateral_offset_
 
   // Protocol state.
   chain::BlockStore store_;

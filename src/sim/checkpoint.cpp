@@ -862,7 +862,7 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
   // left it untouched, and construction-time burning advanced it exactly as
   // the original construction did, so this lands it on the saved value.
   queue_.set_next_seq(saved_next_seq);
-  ++position_epoch_;
+  rebuild_rosters();
   return true;
 }
 

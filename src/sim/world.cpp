@@ -189,8 +189,12 @@ void World::spawn(const traffic::Arrival& arrival, VehicleId id) {
   network_->add_node(node.get());
   node->start();
   spawn_times_[id] = clock_.now();
+  live_.insert(std::lower_bound(live_.begin(), live_.end(), id,
+                                [](const protocol::VehicleNode* v, VehicleId x) {
+                                  return v->id() < x;
+                                }),
+               node.get());
   vehicles_[id] = std::move(node);
-  ++position_epoch_;  // the new vehicle must show up in sensor queries
 }
 
 void World::spawn_legacy(const traffic::Arrival& arrival, VehicleId id) {
@@ -202,9 +206,22 @@ void World::spawn_legacy(const traffic::Arrival& arrival, VehicleId id) {
   l.cruise = std::min(arrival.initial_speed_mps,
                       0.6 * intersection_.config().limits.speed_limit_mps);
   l.v = l.cruise;
-  legacy_[id] = l;
+  LegacyVehicle* slot = &(legacy_[id] = l);
   spawn_times_[id] = clock_.now();
-  ++position_epoch_;  // legacy vehicles are sensor-visible from spawn
+  live_legacy_.insert(std::lower_bound(live_legacy_.begin(), live_legacy_.end(),
+                                       std::pair{id, slot}),
+                      std::pair{id, slot});
+}
+
+void World::rebuild_rosters() {
+  live_.clear();
+  for (const auto& [id, v] : vehicles_) {
+    if (!v->exited()) live_.push_back(v.get());
+  }
+  live_legacy_.clear();
+  for (auto& [id, l] : legacy_) {
+    if (!l.exited) live_legacy_.emplace_back(id, &l);
+  }
 }
 
 void World::record_exit(const protocol::VehicleNode& v, Tick now) {
@@ -276,32 +293,25 @@ geom::Vec2 World::legacy_position(const LegacyVehicle& l) const {
 }
 
 void World::step_legacy(Duration dt_ms) {
-  if (legacy_.empty()) return;
+  if (live_legacy_.empty()) return;
   const double dt = static_cast<double>(dt_ms) / 1000.0;
   const auto& limits = intersection_.config().limits;
   // Managed vehicles do not move during step_legacy, so one snapshot serves
   // every legacy vehicle this step.
   follow_grid_.clear();
-  follow_nodes_.clear();
-  follow_grid_.reserve(vehicles_.size());
-  for (const auto& [oid, v] : vehicles_) {
-    if (v->exited()) continue;
-    follow_grid_.insert(v->position());
-    follow_nodes_.push_back(v.get());
-  }
+  follow_grid_.reserve(live_.size());
+  for (const protocol::VehicleNode* v : live_) follow_grid_.insert(v->position());
   // Legacy positions advance during the loop below (each entry moves as it
   // is stepped), so this snapshot can lag a neighbour by one step — at most
   // ~1.3 m at legacy cruise speeds. The query radius absorbs that; the
-  // predicate always reads the live fields through the stored pointers.
+  // predicate always reads the live fields through the roster's pointers.
   legacy_follow_grid_.clear();
-  legacy_follow_refs_.clear();
-  legacy_follow_grid_.reserve(legacy_.size());
-  for (const auto& [oid, o] : legacy_) {
-    if (o.exited) continue;
-    legacy_follow_grid_.insert(legacy_position(o));
-    legacy_follow_refs_.emplace_back(oid, &o);
+  legacy_follow_grid_.reserve(live_legacy_.size());
+  for (const auto& [oid, o] : live_legacy_) {
+    legacy_follow_grid_.insert(legacy_position(*o));
   }
-  for (auto& [id, l] : legacy_) {
+  for (const auto& [id, lp] : live_legacy_) {
+    LegacyVehicle& l = *lp;
     if (l.exited) continue;
     // Simple car-following: brake for the nearest vehicle ahead on the same
     // route. Only gaps below the 45 m car-following horizon influence the
@@ -314,12 +324,12 @@ void World::step_legacy(Duration dt_ms) {
     follow_scratch_.clear();
     follow_grid_.query_candidates(legacy_position(l), 55.0, follow_scratch_);
     for (const std::size_t idx : follow_scratch_) {
-      const protocol::VehicleNode* v = follow_nodes_[idx];
+      const protocol::VehicleNode* v = live_[idx];
       if (v->exited() || v->route_id() != l.route_id) continue;
       const double ds = v->progress_s() - l.s;
       if (ds > 0.1) gap = std::min(gap, ds);
     }
-    // Legacy-vs-legacy. Earlier map entries have already moved this step;
+    // Legacy-vs-legacy. Earlier roster entries have already moved this step;
     // the predicate reads their live fields and only folds them into a min,
     // which no candidate ordering can change. A neighbour whose ds could
     // fall below the 45 m horizon lies within 45 m in the plane at snapshot
@@ -328,7 +338,7 @@ void World::step_legacy(Duration dt_ms) {
     legacy_follow_grid_.query_candidates(legacy_position(l), 55.0,
                                          follow_scratch_);
     for (const std::size_t idx : follow_scratch_) {
-      const auto& [oid, o] = legacy_follow_refs_[idx];
+      const auto& [oid, o] = live_legacy_[idx];
       if (oid == id || o->exited || o->route_id != l.route_id) continue;
       const double ds = o->s - l.s;
       if (ds > 0.1) gap = std::min(gap, ds);
@@ -355,10 +365,10 @@ void World::step_legacy(Duration dt_ms) {
       }
     }
   }
+  std::erase_if(live_legacy_, [](const auto& e) { return e.second->exited; });
 }
 
 void World::step_world(Tick now) {
-  ++position_epoch_;  // everything may move during this step
   const Duration dt = config_.step_ms;
   const auto watch_every =
       std::max<Tick>(1, config_.nwade.watch_interval_ms / config_.step_ms);
@@ -389,22 +399,23 @@ void World::step_world(Tick now) {
   // Phase 1: physics for everyone, in id order, so watchers later observe a
   // consistent time-t snapshot.
   phase_begin();
-  for (auto& [id, vehicle] : vehicles_) {
+  for (protocol::VehicleNode* vehicle : live_) {
     if (vehicle->exited()) continue;
     vehicle->step(now, dt);
     if (vehicle->exited()) {
       network_->remove_node(vehicle->node_id());
-      crossing_times_.push_back(now - spawn_times_[id]);
+      crossing_times_.push_back(now - spawn_times_[vehicle->id()]);
       record_exit(*vehicle, now);
     }
   }
+  std::erase_if(live_, [](const protocol::VehicleNode* v) { return v->exited(); });
   phase_end("phase.physics", static_cast<std::int64_t>(vehicles_.size()));
 
   // Phase 2: the neighbourhood watch, staggered to avoid synchronized bursts.
   phase_begin();
-  for (auto& [id, vehicle] : vehicles_) {
+  for (protocol::VehicleNode* vehicle : live_) {
     if (vehicle->exited()) continue;
-    if ((step_index + static_cast<Tick>(id.value)) % watch_every == 0) {
+    if ((step_index + static_cast<Tick>(vehicle->id().value)) % watch_every == 0) {
       vehicle->watch(now);
     }
   }
@@ -421,8 +432,8 @@ void World::step_world(Tick now) {
 
 std::size_t World::step_gap_audit() {
   audit_probes_.clear();
-  audit_probes_.reserve(vehicles_.size() + legacy_.size());
-  for (const auto& [id, v] : vehicles_) {
+  audit_probes_.reserve(live_.size() + live_legacy_.size());
+  for (const protocol::VehicleNode* v : live_) {
     // Degraded vehicles (moving without a plan) are audited too: their
     // sensor-gated crossing must not collide with managed traffic.
     if (!v->exited() && (v->has_plan() || v->progress_s() > 0.5)) {
@@ -441,9 +452,9 @@ std::size_t World::step_gap_audit() {
           AuditProbe{v->position(), v->progress_s(), v->route_id(), parked_off});
     }
   }
-  for (const auto& [id, l] : legacy_) {
-    if (!l.exited) {
-      audit_probes_.push_back(AuditProbe{legacy_position(l), l.s, l.route_id});
+  for (const auto& [id, l] : live_legacy_) {
+    if (!l->exited) {
+      audit_probes_.push_back(AuditProbe{legacy_position(*l), l->s, l->route_id});
     }
   }
   // The first 30 m of every route is the staging area at the edge of
@@ -576,41 +587,6 @@ RunSummary World::summary() const {
   return s;
 }
 
-namespace {
-/// Padding added to grid-backed sensor queries. A sense can fire mid-step,
-/// after the grids were snapshotted but after some vehicles already moved;
-/// between snapshots every vehicle moves at most one physics step (~2.3 m at
-/// 50 mph and the 100 ms default step, lateral manoeuvres included), so any
-/// vehicle inside the exact radius is within radius + slack of its
-/// snapshotted position. The exact range check always uses live positions.
-constexpr double kSenseSlackM = 20.0;
-}  // namespace
-
-void World::rebuild_sense_grids() const {
-  // Iterating the id-sorted maps makes insertion indices ascend with vehicle
-  // id, and query_candidates returns ascending indices — so the indexed scan
-  // emits observations in ascending id order. Skipping
-  // exited vehicles here is safe because exit is permanent: they could never
-  // pass the live filters again.
-  sense_managed_grid_.clear();
-  sense_managed_ids_.clear();
-  sense_managed_grid_.reserve(vehicles_.size());
-  for (const auto& [id, v] : vehicles_) {
-    if (v->exited()) continue;
-    sense_managed_grid_.insert(v->position());
-    sense_managed_ids_.push_back(id);
-  }
-  sense_legacy_grid_.clear();
-  sense_legacy_ids_.clear();
-  sense_legacy_grid_.reserve(legacy_.size());
-  for (const auto& [id, l] : legacy_) {
-    if (l.exited) continue;
-    sense_legacy_grid_.insert(legacy_position(l));
-    sense_legacy_ids_.push_back(id);
-  }
-  sense_built_epoch_ = position_epoch_;
-}
-
 std::vector<protocol::Observation> World::sense_around(geom::Vec2 center,
                                                        double radius,
                                                        VehicleId exclude) const {
@@ -623,30 +599,22 @@ void World::sense_around_into(geom::Vec2 center, double radius,
                               VehicleId exclude,
                               std::vector<protocol::Observation>& out) const {
   out.clear();
-  if (sense_built_epoch_ != position_epoch_) rebuild_sense_grids();
-  // Candidate supersets from the snapshot; every filter below re-runs the
-  // exact predicate on live state, in ascending id order.
-  sense_scratch_.clear();
-  sense_managed_grid_.query_candidates(center, radius + kSenseSlackM,
-                                       sense_scratch_);
-  for (const std::size_t idx : sense_scratch_) {
-    const VehicleId id = sense_managed_ids_[idx];
-    const auto& v = vehicles_.find(id)->second;
+  // The rosters ascend by id, so observations come out managed first, then
+  // legacy, each in ascending id order. A sense can fire mid-physics, after
+  // a vehicle exited but before the roster was pruned: the live filters
+  // below still apply.
+  for (const protocol::VehicleNode* v : live_) {
+    const VehicleId id = v->id();
     if (id == exclude || v->exited()) continue;
     // Vehicles still staged at the zone edge (no plan, not yet moving) are
     // invisible; a plan-less vehicle that moves — degraded mode — must be
     // seen so watchers and the IM's unmanaged tracking can cover it.
     if (!v->has_plan() && v->progress_s() <= 0.5) continue;
-    const geom::Vec2 pos = v->position();
-    if (pos.distance_to(center) > radius) continue;
+    if (v->position().distance_to(center) > radius) continue;
     out.push_back(protocol::Observation{id, v->traits(), v->ground_truth()});
   }
-  sense_scratch_.clear();
-  sense_legacy_grid_.query_candidates(center, radius + kSenseSlackM,
-                                      sense_scratch_);
-  for (const std::size_t idx : sense_scratch_) {
-    const VehicleId id = sense_legacy_ids_[idx];
-    const LegacyVehicle& l = legacy_.find(id)->second;
+  for (const auto& [id, lp] : live_legacy_) {
+    const LegacyVehicle& l = *lp;
     if (id == exclude || l.exited) continue;
     const geom::Vec2 pos = legacy_position(l);
     if (pos.distance_to(center) > radius) continue;

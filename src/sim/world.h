@@ -238,7 +238,8 @@ class World final : public protocol::SensorProvider {
   void step_legacy(Duration dt_ms);
   geom::Vec2 legacy_position(const LegacyVehicle& l) const;
   void step_world(Tick now);
-  void rebuild_sense_grids() const;
+  /// Refills live_ and live_legacy_ from the vehicle maps (restore).
+  void rebuild_rosters();
   std::size_t step_gap_audit();
 
   ScenarioConfig config_;
@@ -258,6 +259,13 @@ class World final : public protocol::SensorProvider {
   std::unique_ptr<protocol::ImNode> im_;
   std::map<VehicleId, std::unique_ptr<protocol::VehicleNode>> vehicles_;
   std::map<VehicleId, LegacyVehicle> legacy_;
+  /// The live managed vehicles, ascending id: inserted at spawn (handoffs
+  /// included) and restore, pruned after physics. Physics, watch, gap audit,
+  /// car following and sensing walk it instead of vehicles_, which keeps
+  /// every vehicle ever spawned.
+  std::vector<protocol::VehicleNode*> live_;
+  /// The live legacy vehicles, ascending id; pruned after step_legacy.
+  std::vector<std::pair<VehicleId, LegacyVehicle*>> live_legacy_;
   std::map<VehicleId, Tick> spawn_times_;
   std::vector<Duration> crossing_times_;
   /// Exit capture for grid handoffs (see ExitRecord): appended at every exit
@@ -291,32 +299,15 @@ class World final : public protocol::SensorProvider {
   };
   std::vector<AuditProbe> audit_probes_;
 
-  /// Bumped whenever positions may have changed (step_world entry, spawns);
-  /// the lazily rebuilt sensor grids below are keyed on it.
-  std::uint64_t position_epoch_{0};
-
-  // Sensor-query index: snapshots of managed/legacy positions, rebuilt at
-  // most once per position epoch. A snapshot can lag a vehicle by one
-  // physics step (senses fire mid-step), so queries pad the radius by
-  // kSenseSlackM and re-apply the exact live-position predicate.
-  mutable geom::SpatialHash sense_managed_grid_{64.0};
-  mutable std::vector<VehicleId> sense_managed_ids_;
-  mutable geom::SpatialHash sense_legacy_grid_{64.0};
-  mutable std::vector<VehicleId> sense_legacy_ids_;
-  mutable std::uint64_t sense_built_epoch_{~0ULL};
-  /// Reused candidate buffer for sense_around_into.
-  mutable std::vector<std::size_t> sense_scratch_;
-
   // Car-following lookup index: managed positions snapshotted at the top of
-  // each step_legacy call (managed vehicles do not move during it).
+  // each step_legacy call (managed vehicles do not move during it); grid
+  // index i is live_[i].
   geom::SpatialHash follow_grid_{32.0};
-  std::vector<const protocol::VehicleNode*> follow_nodes_;
   std::vector<std::size_t> follow_scratch_;
   // Legacy-vs-legacy lookup: positions snapshotted at the top of step_legacy
   // (they drift up to one step during it; the query radius absorbs that and
-  // the predicate reads the live fields through the stored pointers).
+  // the predicate reads the live fields through live_legacy_[i]).
   geom::SpatialHash legacy_follow_grid_{32.0};
-  std::vector<std::pair<VehicleId, const LegacyVehicle*>> legacy_follow_refs_;
 };
 
 }  // namespace nwade::sim

@@ -1,9 +1,15 @@
-// BlockStore: chain linkage validation, the tau/delta depth bound, and the
-// checks on a restored checkpoint section. Tampered blocks are forged
-// through Block(Header, plans).
+// BlockStore: chain linkage validation, the tau/delta depth bound, the
+// checks on a restored checkpoint section, and the id→plan index against a
+// newest-first walk of the cached blocks. Tampered blocks are forged through
+// Block(Header, plans).
 #include "chain/store.h"
 
 #include <gtest/gtest.h>
+
+#include <map>
+#include <string>
+
+#include "util/rng.h"
 
 namespace nwade::chain {
 namespace {
@@ -199,6 +205,118 @@ TEST_F(StoreTest, CheckpointRestoreRejectsNonConsecutiveSeqs) {
   BlockStore store;
   ByteReader r(section);
   EXPECT_FALSE(store.checkpoint_restore(r));
+}
+
+/// find_plan as a newest-first walk of the cached blocks.
+const aim::TravelPlan* walk_find_plan(const BlockStore& store, VehicleId id) {
+  for (auto it = store.blocks().rbegin(); it != store.blocks().rend(); ++it) {
+    if (const aim::TravelPlan* p = (*it)->plan_for(id)) return p;
+  }
+  return nullptr;
+}
+
+/// The ascending-id view as a newest-first walk: newer blocks win, and within
+/// a block the first plan for an id wins.
+std::map<VehicleId, const aim::TravelPlan*> walk_latest_plans(const BlockStore& store) {
+  std::map<VehicleId, const aim::TravelPlan*> latest;
+  for (auto it = store.blocks().rbegin(); it != store.blocks().rend(); ++it) {
+    for (const aim::TravelPlan& p : (*it)->plans()) latest.try_emplace(p.vehicle, &p);
+  }
+  return latest;
+}
+
+TEST(StoreIndexProperty, RandomOperationsMatchNewestFirstWalk) {
+  // Three recipients of one IM, each with its own depth bound. Broadcasts
+  // hand one block to every recipient on the same tip; a malicious IM's
+  // per-recipient conflicting blocks give each its own block for the same
+  // vehicles; a resync replaces a store with a fresh one (as the vehicle does
+  // on a sequence gap); a checkpoint round trip swaps in restored copies.
+  crypto::HmacSigner signer(Bytes{'i', 'm'});
+  const auto verifier = signer.verifier();
+  Rng rng(0x1DE5);
+  std::vector<BlockStore> stores = {BlockStore(1), BlockStore(3), BlockStore(8)};
+  double speed = 1.0;  // unique per plan: duplicates stay distinguishable
+  std::uint64_t max_id = 0;
+  int duplicates = 0;
+
+  const auto plans_for = [&](int n, std::uint64_t id_range) {
+    std::vector<aim::TravelPlan> plans;
+    for (int i = 0; i < n; ++i) {
+      aim::TravelPlan p;
+      p.vehicle = VehicleId{static_cast<std::uint64_t>(rng.uniform_int(1, id_range))};
+      p.segments = {aim::PlanSegment{0, 0, speed++}};
+      max_id = std::max(max_id, p.vehicle.value);
+      for (const aim::TravelPlan& q : plans) duplicates += q.vehicle == p.vehicle;
+      plans.push_back(std::move(p));
+    }
+    return plans;
+  };
+  // A block extending `tip` (a fresh chain when the store is empty).
+  const auto block_on = [&](const BlockStore& tip, std::vector<aim::TravelPlan> plans) {
+    const Block* latest = tip.latest();
+    const BlockSeq seq = latest ? latest->seq() + 1 : 0;
+    return std::make_shared<const Block>(
+        Block::package(seq, latest ? latest->hash() : crypto::Digest{},
+                       static_cast<Tick>(seq) * 1000, std::move(plans), signer));
+  };
+
+  for (int op = 0; op < 10'000; ++op) {
+    const std::int64_t kind = rng.uniform_int(0, 9);
+    if (kind <= 5) {
+      // Broadcast on a random recipient's tip, appended (one shared handle)
+      // by every recipient on that tip and by every empty one.
+      const BlockStore& tip = stores[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      const BlockPtr b = block_on(tip, plans_for(static_cast<int>(rng.uniform_int(0, 6)), 24));
+      const Block* tip_block = tip.latest();
+      for (BlockStore& s : stores) {
+        if (s.empty() || (tip_block && s.latest()->hash() == tip_block->hash())) {
+          ASSERT_TRUE(s.append(b, *verifier));
+        }
+      }
+    } else if (kind == 6) {
+      // Per-recipient conflicting blocks: the same vehicles, different plans.
+      const std::vector<aim::TravelPlan> base = plans_for(4, 6);
+      for (BlockStore& s : stores) {
+        std::vector<aim::TravelPlan> plans = base;
+        for (aim::TravelPlan& p : plans) p.segments[0].v_mps = speed++;
+        ASSERT_TRUE(s.append(block_on(s, std::move(plans)), *verifier));
+      }
+    } else if (kind == 7) {
+      // Resync: a fresh store that accepts the next block whatever its seq.
+      BlockStore& s = stores[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      const BlockStore& other = stores[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      const BlockPtr b = block_on(other, plans_for(3, 24));
+      s = BlockStore(s.max_depth());
+      ASSERT_TRUE(s.append(b, *verifier));
+    } else {
+      // Checkpoint round trip: restored blocks are new objects.
+      BlockStore& s = stores[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      ByteWriter w;
+      s.checkpoint_save(w);
+      const Bytes saved = w.take();
+      BlockStore back;
+      ByteReader r(saved);
+      ASSERT_TRUE(back.checkpoint_restore(r));
+      s = std::move(back);
+    }
+
+    for (std::size_t i = 0; i < stores.size(); ++i) {
+      const BlockStore& s = stores[i];
+      const auto latest = walk_latest_plans(s);
+      ASSERT_EQ(s.plans_by_id().size(), latest.size()) << "op " << op << " store " << i;
+      auto it = latest.begin();
+      for (const BlockStore::PlanRef& ref : s.plans_by_id()) {
+        ASSERT_EQ(ref.vehicle, it->first) << "op " << op << " store " << i;
+        ASSERT_EQ(ref.plan, it->second) << "op " << op << " store " << i;
+        ++it;
+      }
+      for (std::uint64_t id = 0; id <= max_id + 1; ++id) {
+        ASSERT_EQ(s.find_plan(VehicleId{id}), walk_find_plan(s, VehicleId{id}))
+            << "op " << op << " store " << i << " vehicle " << id;
+      }
+    }
+  }
+  EXPECT_GT(duplicates, 100);  // duplicate ids inside one block were covered
 }
 
 }  // namespace

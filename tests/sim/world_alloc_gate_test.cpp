@@ -3,8 +3,8 @@
 // Meters the calling thread's heap-allocation counter (util/alloc_stats)
 // around two public calls, once the world is warm:
 //
-//  * World::sense_around_into — the sensor sweep every due watcher runs,
-//    against grids already built for the current step;
+//  * World::sense_around_into — the sensor sweep every due watcher runs
+//    over the world's live roster, into an already-grown buffer;
 //  * VehicleNode::step of a vehicle following its plan — the physics of the
 //    common case.
 //
@@ -56,8 +56,8 @@ int gate_sense_scans(World& world, Tick from) {
   for (Tick t = from + cfg.step_ms; t <= cfg.duration_ms; t += cfg.step_ms) {
     world.run_until(t);
     const auto vehicles = live_vehicles(world);
-    // Warm for this step: an all-covering query rebuilds the sensor grids
-    // for the new positions and grows both buffers to the whole fleet.
+    // Warm for this step: an all-covering query grows the buffer to the
+    // whole fleet.
     world.sense_around_into({0.0, 0.0}, 1e9, VehicleId{}, out);
     const std::uint64_t before = util::thread_alloc_count();
     for (const protocol::VehicleNode* v : vehicles) {
