@@ -1,5 +1,6 @@
-// Shared plumbing for the experiment harnesses: scenario runners, repetition
-// control, and plain-text table output mirroring the paper's tables/figures.
+// Shared plumbing for the bench programs and the campaign CLI's figure
+// presets: the paper's base scenario, plain-text table output mirroring the
+// paper's tables/figures, and the nwade-bench-v1 perf envelope.
 #pragma once
 
 #include <sys/resource.h>
@@ -23,25 +24,6 @@
 
 namespace nwade::bench {
 
-/// Number of repetitions per data point. The paper uses 10 rounds; set
-/// NWADE_BENCH_ROUNDS to trade precision for wall-clock time.
-inline int rounds() {
-  if (const char* env = std::getenv("NWADE_BENCH_ROUNDS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
-  }
-  return 5;
-}
-
-/// Simulated duration per run (ms); override with NWADE_BENCH_DURATION_MS.
-inline Duration run_duration_ms() {
-  if (const char* env = std::getenv("NWADE_BENCH_DURATION_MS")) {
-    const long n = std::atol(env);
-    if (n > 0) return n;
-  }
-  return 100'000;
-}
-
 inline double mean(const std::vector<double>& xs) {
   if (xs.empty()) return 0;
   double total = 0;
@@ -49,20 +31,12 @@ inline double mean(const std::vector<double>& xs) {
   return total / static_cast<double>(xs.size());
 }
 
-inline double stddev(const std::vector<double>& xs) {
-  if (xs.size() < 2) return 0;
-  const double m = mean(xs);
-  double ss = 0;
-  for (double x : xs) ss += (x - m) * (x - m);
-  return std::sqrt(ss / static_cast<double>(xs.size() - 1));
-}
-
 /// Base scenario shared by the experiments (paper Section VI-A defaults).
 inline sim::ScenarioConfig default_scenario() {
   sim::ScenarioConfig cfg;
   cfg.intersection.kind = traffic::IntersectionKind::kCross4;
   cfg.vehicles_per_minute = 80;  // paper default
-  cfg.duration_ms = run_duration_ms();
+  cfg.duration_ms = 100'000;
   cfg.attack_time = 40'000;
   return cfg;
 }
@@ -72,8 +46,6 @@ inline void banner(const std::string& title, const std::string& paper_ref) {
   std::printf("\n================================================================\n");
   std::printf("%s\n", title.c_str());
   std::printf("reproduces: %s\n", paper_ref.c_str());
-  std::printf("rounds per point: %d, run length: %lld ms\n", rounds(),
-              static_cast<long long>(run_duration_ms()));
   std::printf("================================================================\n");
 }
 

@@ -13,6 +13,12 @@
 //
 //   ./build/examples/campaign --kinds cross4 --attacks benign,V1
 //       --vpm 60,120 --rounds 2 --threads 4   (one line)
+//
+// Every table and figure of the paper's evaluation is a preset
+// (examples/figures.h), e.g. Table II, or all of them:
+//
+//   ./build/examples/campaign --figure table2 --threads 4
+//   ./build/examples/campaign --figure all --threads 4 --out figures.json
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -22,6 +28,7 @@
 #include <string>
 #include <vector>
 
+#include "figures.h"
 #include "nwade/config.h"
 #include "sim/campaign.h"
 
@@ -111,6 +118,11 @@ void usage(const char* argv0) {
       "  --duration-ms N                      simulated length per run\n"
       "  --threads N                          worker pool size\n"
       "  --paper-matrix                       all kinds x table1 attacks\n"
+      "  --figure NAME                        run a paper table/figure preset:\n"
+      "                                       %s\n"
+      "                                       (5 rounds of 100 s unless --rounds/\n"
+      "                                       --duration-ms say otherwise; --out\n"
+      "                                       writes label -> results JSON)\n"
       "  --out PATH                           report JSON (default campaign.json)\n"
       "  --results-out PATH                   deterministic results-only JSON\n"
       "  --resume PATH                        progress journal (nwade-campaign-\n"
@@ -124,7 +136,7 @@ void usage(const char* argv0) {
       "  --trace-jsonl-out PATH               JSONL trace (implies --trace)\n"
       "  --metrics-out PATH                   per-cell + merged registry\n"
       "                                       snapshots (nwade-metrics-v1)\n",
-      argv0);
+      argv0, figures::names().c_str());
 }
 
 }  // namespace
@@ -138,6 +150,10 @@ int main(int argc, char** argv) {
   std::string trace_jsonl_path;
   std::string metrics_path;
   std::string resume_path;
+  std::string figure;
+  bool rounds_set = false, duration_set = false, out_set = false;
+  // Options that shape or export one matrix; a preset fixes its own.
+  std::vector<std::string> matrix_options;
 
   auto value = [&](int& i) -> const char* {
     if (i + 1 >= argc) {
@@ -149,6 +165,11 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (arg == "--kinds" || arg == "--attacks" || arg == "--vpm" ||
+        arg == "--paper-matrix" || arg == "--resume" || arg == "--results-out" ||
+        arg.starts_with("--trace") || arg == "--metrics-out") {
+      matrix_options.push_back(arg);
+    }
     if (arg == "--kinds") {
       if (!parse_kinds(value(i), cfg.kinds)) return 2;
     } else if (arg == "--attacks") {
@@ -165,10 +186,12 @@ int main(int argc, char** argv) {
       }
     } else if (arg == "--rounds") {
       cfg.rounds = std::atoi(value(i));
+      rounds_set = true;
     } else if (arg == "--seed") {
       cfg.base_seed = std::strtoull(value(i), nullptr, 10);
     } else if (arg == "--duration-ms") {
       cfg.duration_ms = std::atol(value(i));
+      duration_set = true;
     } else if (arg == "--threads") {
       cfg.threads = std::atoi(value(i));
     } else if (arg == "--paper-matrix") {
@@ -176,6 +199,14 @@ int main(int argc, char** argv) {
       parse_attacks("table1", cfg.attacks);
     } else if (arg == "--out") {
       out_path = value(i);
+      out_set = true;
+    } else if (arg == "--figure") {
+      figure = value(i);
+      if (!figures::known(figure)) {
+        std::fprintf(stderr, "unknown figure '%s' (try: %s)\n", figure.c_str(),
+                     figures::names().c_str());
+        return 2;
+      }
     } else if (arg == "--results-out") {
       results_path = value(i);
     } else if (arg == "--resume") {
@@ -198,6 +229,18 @@ int main(int argc, char** argv) {
       usage(argv[0]);
       return 2;
     }
+  }
+  if (!figure.empty() && !matrix_options.empty()) {
+    std::fprintf(stderr,
+                 "--figure cannot be combined with %s: a preset fixes its own "
+                 "matrix and writes only --out\n",
+                 matrix_options.front().c_str());
+    return 2;
+  }
+  if (!figure.empty()) {
+    if (!rounds_set) cfg.rounds = 5;
+    if (!duration_set) cfg.duration_ms = 100'000;
+    if (!out_set) out_path.clear();
   }
   if (cfg.rounds <= 0 || cfg.duration_ms <= 0) {
     std::fprintf(stderr, "--rounds and --duration-ms must be positive\n");
@@ -231,6 +274,12 @@ int main(int argc, char** argv) {
     }
     std::fclose(probe);
     if (!existed) std::remove(path->c_str());
+  }
+
+  if (!figure.empty()) {
+    return figures::run(figure,
+                        {cfg.rounds, cfg.base_seed, cfg.duration_ms, cfg.threads},
+                        out_path);
   }
 
   const std::size_t cell_count = sim::expand_cells(cfg).size();

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Full verification sweep: the default tree runs every suite (unit, chaos,
-# perf smokes, obs, the soak SIGKILL smoke, campaign CLI, the bench_diff.py
-# unittests); the sanitizer trees rebuild the whole stack instrumented and
+# perf smokes, obs, the soak SIGKILL smoke, campaign CLI, the paper-shape
+# gate of the campaign --figure presets, the bench_diff.py unittests); the
+# sanitizer trees rebuild the whole stack instrumented and
 # run their intended payload — the chaos label (fault injection,
 # corrupt-wire fuzzing, threaded campaign fan-out, the grid shard fan-out:
 # grid_parallel_test and the bench_grid smoke both carry it; see

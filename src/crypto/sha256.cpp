@@ -100,14 +100,19 @@ void Sha256::update(std::string_view s) {
 
 Digest Sha256::finish() {
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(std::span<const std::uint8_t>(&pad, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != 56) update(std::span<const std::uint8_t>(&zero, 1));
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
-  // Bypass update() for the length so total_len_ bookkeeping stays untouched.
-  std::memcpy(buffer_.data() + 56, len_be, 8);
+  // Padding goes straight into the buffer: 0x80, zero fill, and the 64-bit
+  // big-endian length in the last 8 bytes. When fewer than 8 bytes remain
+  // after the 0x80 marker, the length spills into one extra block.
+  buffer_[buffer_len_++] = 0x80;
+  if (buffer_len_ > 56) {
+    std::memset(buffer_.data() + buffer_len_, 0, 64 - buffer_len_);
+    compress(buffer_.data());
+    buffer_len_ = 0;
+  }
+  std::memset(buffer_.data() + buffer_len_, 0, 56 - buffer_len_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
   compress(buffer_.data());
 
   Digest out;

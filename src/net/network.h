@@ -14,12 +14,10 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "util/bytes.h"
 
-#include "geom/spatial_hash.h"
 #include "geom/vec2.h"
 #include "net/clock.h"
 #include "net/fault.h"
@@ -189,10 +187,9 @@ class Network {
                         util::telemetry::Histogram latency_ms);
   /// Fills `out` with the ids of every registered node (sender excluded)
   /// whose *current* position is within the communication radius of
-  /// `origin`, ascending, pre-filtered through the position grid.
+  /// `origin`, ascending.
   void collect_receivers(NodeId from, geom::Vec2 origin,
                          std::vector<NodeId>& out);
-  void rebuild_grid();
 
   EventQueue& queue_;
   SimClock& clock_;
@@ -229,18 +226,7 @@ class Network {
 
   bool ge_bad_{false};  ///< Gilbert–Elliott channel state
 
-  // Broadcast-scan index: node positions snapshotted at most once per
-  // (tick, membership change). Queries pad the radius by kGridSlackM, so a
-  // node that moved since the snapshot (mid-step broadcasts) still shows up
-  // as a candidate; the exact range check always runs on live positions.
-  geom::SpatialHash grid_{64.0};
-  std::vector<NodeId> receivers_;         ///< reused broadcast receiver list
-  std::vector<NodeId> grid_ids_;          ///< grid index -> node id
-  std::vector<std::size_t> grid_scratch_; ///< reused candidate buffer
-  std::unordered_set<NodeId> candidates_; ///< reused candidate id set
-  Tick grid_built_at_{-1};
-  std::uint64_t membership_epoch_{0};     ///< bumped by add/remove_node
-  std::uint64_t grid_epoch_{~0ULL};       ///< membership epoch at build time
+  std::vector<NodeId> receivers_;  ///< reused broadcast receiver list
 };
 
 }  // namespace nwade::net

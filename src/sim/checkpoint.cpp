@@ -97,7 +97,10 @@ void save_scenario_config(ByteWriter& w, const ScenarioConfig& c) {
   w.i64(c.attack_time);
   w.u8(static_cast<std::uint8_t>(c.false_report_kind));
   w.u8(static_cast<std::uint8_t>(c.im_attack_mode));
-  w.u8(c.nwade_enabled ? 1 : 0);
+  // Former ScenarioConfig on/off switch: it carries nwade.security_enabled
+  // again, and wins over the NwadeConfig slot on restore (docs/CHECKPOINT.md
+  // §6).
+  w.u8(c.nwade.security_enabled ? 1 : 0);
   w.f64(c.legacy_fraction);
   w.u8(0);  // retired field, always 0
   w.u8(c.trace_enabled ? 1 : 0);
@@ -210,7 +213,7 @@ bool load_scenario_config(ByteReader& r, ScenarioConfig& c) {
     return false;
   }
   c.im_attack_mode = static_cast<protocol::ImAttackMode>(im_mode);
-  c.nwade_enabled = r.u8() != 0;
+  c.nwade.security_enabled = r.u8() != 0;
   c.legacy_fraction = r.f64();
   (void)r.u8();  // retired field, read and ignored
   c.trace_enabled = r.u8() != 0;

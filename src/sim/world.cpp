@@ -27,7 +27,6 @@ World::World(ScenarioConfig config, Tick resume_t)
       queue_.schedule_at(when, std::move(fn));
     }
   };
-  config_.nwade.security_enabled = config_.nwade_enabled;
   tracer_.set_enabled(config_.trace_enabled);
   steps_counter_ = registry_.counter("sim.steps");
 

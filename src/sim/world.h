@@ -54,10 +54,6 @@ struct ScenarioConfig {
   protocol::ImAttackMode im_attack_mode{
       protocol::ImAttackMode::kConflictingPlansAndSilence};
 
-  /// false = plain AIM without the NWADE security layer (Fig. 8's baseline):
-  /// vehicles skip block verification and the neighbourhood watch.
-  bool nwade_enabled{true};
-
   /// Mixed-traffic extension (the paper's future work): fraction of arrivals
   /// that are legacy vehicles — no V2X, no plan requests; they cross at a
   /// constant cruise speed with simple car-following. The IM perceives them

@@ -53,6 +53,32 @@ TEST(Sha256, ExactBlockBoundaries) {
   }
 }
 
+TEST(Sha256, PaddingBoundariesMatchKnownDigests) {
+  // Digests of n repeated 'x' bytes from an independent SHA-256 (Python's
+  // hashlib). Each length lands the 0x80 marker and the 64-bit length at a
+  // different offset, including the one-extra-block spill past byte 55.
+  const struct {
+    std::size_t len;
+    const char* hex;
+  } kCases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {1, "2d711642b726b04401627ca9fbac32f5c8530fb1903cc4db02258717921a4881"},
+      {55, "d5e285683cd4efc02d021a5c62014694958901005d6f71e89e0989fac77e4072"},
+      {56, "04c26261370ee7541549d16dee320c723e3fd14671e66a099afe0a377c16888e"},
+      {57, "ae14a2563ccf969d99aca69ce6bb74981f734bbf9f655f73b8f06db68cab5217"},
+      {63, "75220b47218278e656f2013bb8f0c455a25eaf01e86c64924e9d48d89776d6f2"},
+      {64, "7ce100971f64e7001e8fe5a51973ecdfe1ced42befe7ee8d5fd6219506b5393c"},
+      {65, "9537c5fdf120482f7d58d25e9ed583f52c02b4e304ea814db1633ad565aed7e9"},
+      {119, "000b48d4edf0fa7bee3c6236ecd2785baa5db4eeb8bb54341b029e0d9fa5fb0c"},
+      {120, "13f05a0b594787f5ecd315edc96141bd3243203d1b7d4f0836f37308b276ba98"},
+      {128, "24da1b81d0b16df6428eee73c69fcb2a93c76bc6df706f0c6670fe6bfe800464"},
+  };
+  for (const auto& c : kCases) {
+    EXPECT_EQ(digest_hex(sha256(std::string(c.len, 'x'))), c.hex)
+        << "len " << c.len;
+  }
+}
+
 TEST(HmacSha256, Rfc4231Case1) {
   const Bytes key(20, 0x0b);
   const std::string msg = "Hi There";

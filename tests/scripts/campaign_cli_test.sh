@@ -4,7 +4,10 @@
 #     BEFORE any cell runs), for every output option;
 #   - --resume + --trace is rejected (traces are not journaled);
 #   - --resume across two invocations produces byte-identical results JSON,
-#     with the second invocation replaying the journal instead of re-running.
+#     with the second invocation replaying the journal instead of re-running;
+#   - --figure rejects unknown presets and every matrix/export option it does
+#     not compose with (exit 2 + diagnostic), and a preset's --out JSON is
+#     byte-identical across pool sizes.
 #
 # usage: campaign_cli_test.sh CAMPAIGN_BINARY
 set -u
@@ -53,5 +56,33 @@ cmp -s a-results.json b-results.json \
   --resume prog.journal > /dev/null 2>&1 || fail "journal replay exited $?"
 cmp -s a-results.json c-results.json \
   || fail "journal replay results differ from plain run"
+
+# --- --figure presets ---------------------------------------------------------
+"$CAMPAIGN" --figure nope > out.log 2> err.log
+[ $? -eq 2 ] || fail "--figure nope accepted"
+grep -q "unknown figure 'nope'" err.log \
+  || fail "--figure nope carried no diagnostic: $(cat err.log)"
+
+for combo in "--kinds cross4" "--attacks V1" "--vpm 60" "--paper-matrix" \
+             "--resume prog2.journal" "--results-out r.json" "--trace" \
+             "--trace-out t.json" "--trace-jsonl-out t.jsonl" \
+             "--metrics-out m.json"; do
+  # shellcheck disable=SC2086  # word-split the option and its value
+  "$CAMPAIGN" --figure fig7 $combo > out.log 2> err.log
+  [ $? -eq 2 ] || fail "--figure fig7 $combo accepted"
+  grep -q "cannot be combined with ${combo%% *}" err.log \
+    || fail "--figure fig7 $combo carried no diagnostic: $(cat err.log)"
+  grep -q '^rounds per point' out.log && fail "--figure fig7 $combo ran the preset"
+done
+
+FIG7=(--figure fig7 --rounds 2 --duration-ms 30000)
+"$CAMPAIGN" "${FIG7[@]}" --threads 1 --out fig7-t1.json > /dev/null 2>&1 \
+  || fail "fig7 at 1 thread exited $?"
+"$CAMPAIGN" "${FIG7[@]}" --threads 4 --out fig7-t4.json > /dev/null 2>&1 \
+  || fail "fig7 at 4 threads exited $?"
+[ -s fig7-t1.json ] || fail "fig7 --out wrote nothing"
+grep -q '"fig7": {' fig7-t1.json || fail "fig7 --out JSON lacks its label"
+cmp -s fig7-t1.json fig7-t4.json \
+  || fail "fig7 --out JSON differs between 1 and 4 threads"
 
 echo "campaign_cli_test: OK"

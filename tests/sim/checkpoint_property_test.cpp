@@ -164,7 +164,7 @@ ScenarioConfig random_scenario(Rng& rng) {
   s.attack = protocol::table1_attack_settings()[static_cast<std::size_t>(
       rint(rng, 0, 10))];
   s.attack_time = rint(rng, 10'000, 100'000);
-  s.nwade_enabled = rint(rng, 0, 9) != 0;
+  s.nwade.security_enabled = rint(rng, 0, 9) != 0;
   s.legacy_fraction = rint(rng, 0, 1) != 0 ? rdouble(rng, 0, 0.5) : 0.0;
   (void)rint(rng, 0, 9);  // retired field's draw, kept so later draws align
   s.trace_enabled = rint(rng, 0, 1) != 0;

@@ -142,7 +142,7 @@ TEST(ImV1Attack, SilentImForcesSelfEvacuation) {
 
 TEST(NwadeDisabled, NoSecurityTrafficStillFlows) {
   ScenarioConfig cfg = base_config();
-  cfg.nwade_enabled = false;
+  cfg.nwade.security_enabled = false;
   const RunSummary s = World(cfg).run();
   EXPECT_GT(s.metrics.vehicles_exited, 20);
   EXPECT_EQ(s.metrics.incident_reports, 0);
@@ -153,7 +153,7 @@ TEST(NwadeOverhead, ThroughputUnaffected) {
   // Fig. 8's claim: adding NWADE leaves throughput essentially unchanged.
   ScenarioConfig on = base_config();
   ScenarioConfig off = base_config();
-  off.nwade_enabled = false;
+  off.nwade.security_enabled = false;
   const RunSummary s_on = World(on).run();
   const RunSummary s_off = World(off).run();
   EXPECT_NEAR(s_on.throughput_vpm, s_off.throughput_vpm,
