@@ -1,6 +1,6 @@
 // Crash-survivable soak driver (docs/CHECKPOINT.md).
 //
-// Runs one long scenario in snapshot-sized slices, writing an `nwade-ckpt-v1`
+// Runs one long scenario in snapshot-sized slices, writing an `nwade-ckpt-v2`
 // checkpoint to --state after every slice (atomically: tmp file + rename, so
 // a kill mid-write leaves the previous snapshot intact). Started again with
 // the same --state path it resumes from the last snapshot and — because

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <string>
 
 namespace nwade::chain {
 namespace {
@@ -82,24 +83,30 @@ BlockPtr BlockStore::by_seq(BlockSeq seq) const {
   return nullptr;
 }
 
-void BlockStore::checkpoint_save(ByteWriter& w) const {
+void BlockStore::checkpoint_save(ByteWriter& w, BlockTable& blocks) const {
   w.u64(max_depth_);
   w.u32(static_cast<std::uint32_t>(blocks_.size()));
-  for (const BlockPtr& b : blocks_) w.bytes(b->serialize());
+  for (const BlockPtr& b : blocks_) blocks.write_ref(w, b);
 }
 
-bool BlockStore::checkpoint_restore(ByteReader& r) {
+bool BlockStore::checkpoint_restore(ByteReader& r, BlockTable& blocks) {
   max_depth_ = static_cast<std::size_t>(r.u64());
   const std::uint32_t n = r.u32();
-  // Each block is >= 1 byte; a live store never holds more than its depth.
-  if (!r.ok() || n > r.remaining() || n > max_depth_) return false;
+  // Each reference is >= 4 bytes; a live store never holds more than its depth.
+  if (!r.ok() || n > r.remaining() / 4) return blocks.fail("truncated store");
+  if (n > max_depth_) {
+    return blocks.fail("store holds " + std::to_string(n) +
+                       " blocks, more than its depth " + std::to_string(max_depth_));
+  }
   blocks_.clear();
   index_.clear();
   for (std::uint32_t i = 0; i < n; ++i) {
-    std::optional<Block> b = Block::deserialize(r.bytes());
-    if (!r.ok() || !b) return false;
-    if (!blocks_.empty() && b->seq() != blocks_.back()->seq() + 1) return false;
-    blocks_.push_back(std::make_shared<const Block>(std::move(*b)));
+    BlockPtr b = blocks.read_ref(r);
+    if (!b) return false;
+    if (!blocks_.empty() && b->seq() != blocks_.back()->seq() + 1) {
+      return blocks.fail("store seqs are not consecutive");
+    }
+    blocks_.push_back(std::move(b));
     index_plans(*blocks_.back());
   }
   return true;

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "chain/block.h"
+#include "chain/block_table.h"
 #include "util/result.h"
 
 namespace nwade::chain {
@@ -81,16 +82,17 @@ class BlockStore {
 
   // --- checkpoint/restore (sim/checkpoint) ----------------------------------
 
-  /// Serializes the depth bound and every cached block (Block::serialize).
-  void checkpoint_save(ByteWriter& w) const;
+  /// Serializes the depth bound and a reference to every cached block, oldest
+  /// first, through the checkpoint's block table.
+  void checkpoint_save(ByteWriter& w, BlockTable& blocks) const;
 
-  /// Restores a saved store. Signatures are *not* re-verified: the blocks
-  /// were validated before the checkpoint, and re-verifying here would
-  /// perturb the signature-verify cache's hit/miss counters on resume. The
-  /// section itself is checked: at most `max_depth` blocks with consecutive
-  /// seqs. Returns false on malformed input (the store may then be partially
-  /// filled).
-  bool checkpoint_restore(ByteReader& r);
+  /// Restores a saved store, taking its blocks from `blocks`. Signatures are
+  /// *not* re-verified: the blocks were validated before the checkpoint, and
+  /// re-verifying here would perturb the signature-verify cache's hit/miss
+  /// counters on resume. The section itself is checked: at most `max_depth`
+  /// blocks with consecutive seqs. Returns false on malformed input, with
+  /// blocks.error() saying why (the store may then be partially filled).
+  bool checkpoint_restore(ByteReader& r, BlockTable& blocks);
 
  private:
   /// Folds `block`, the newest cached block, into index_.

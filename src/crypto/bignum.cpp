@@ -204,21 +204,77 @@ std::pair<BigUint, BigUint> BigUint::divmod(const BigUint& divisor) const {
     return {q, BigUint(static_cast<u64>(rem))};
   }
 
-  // Shift-subtract long division, one bit at a time. Only used on cold paths
-  // (key generation, CRT precompute); hot-path reductions use Montgomery.
-  const int shift = bit_length() - divisor.bit_length();
-  BigUint rem = *this;
-  BigUint den = divisor << shift;
+  // Knuth's Algorithm D (TAOCP vol. 2, 4.3.1) on 64-bit limbs. Both operands
+  // are shifted left until the divisor's top bit is set; each quotient limb
+  // is then estimated from the remainder's top two limbs, corrected against
+  // the divisor's second limb (the estimate is then at most one too large),
+  // and multiplied and subtracted, with an add-back on that rare overshoot.
+  const std::size_t n = divisor.limbs_.size();
+  const std::size_t m = limbs_.size() - n;
+  const int shift = std::countl_zero(divisor.limbs_.back());
+  const auto shifted = [shift](const u64* x, std::size_t i) {
+    // Limb i of x << shift, reading x[i - 1] for the carried-in bits.
+    return shift == 0 ? x[i] : (x[i] << shift) | (i > 0 ? x[i - 1] >> (64 - shift) : 0);
+  };
+  detail::LimbVec v;
+  v.resize(n);
+  for (std::size_t i = 0; i < n; ++i) v[i] = shifted(divisor.limbs_.data(), i);
+  detail::LimbVec u;  // the running remainder, one limb longer than *this
+  u.resize(m + n + 1);
+  for (std::size_t i = 0; i < m + n; ++i) u[i] = shifted(limbs_.data(), i);
+  u[m + n] = shift == 0 ? 0 : limbs_[m + n - 1] >> (64 - shift);
+
+  const u64 v_top = v[n - 1];
+  const u64 v_next = v[n - 2];
   BigUint quo;
-  quo.limbs_.assign(static_cast<std::size_t>(shift) / 64 + 1, 0);
-  for (int i = shift; i >= 0; --i) {
-    if (rem >= den) {
-      rem = rem - den;
-      quo.limbs_[static_cast<std::size_t>(i) / 64] |= 1ULL << (i % 64);
+  quo.limbs_.resize(m + 1);
+  for (std::size_t j = m + 1; j-- > 0;) {
+    const u128 top = (static_cast<u128>(u[j + n]) << 64) | u[j + n - 1];
+    u128 qhat = top / v_top;
+    u128 rhat = top % v_top;
+    while ((qhat >> 64) != 0 ||
+           qhat * v_next > ((rhat << 64) | u[j + n - 2])) {
+      --qhat;
+      rhat += v_top;
+      if ((rhat >> 64) != 0) break;
     }
-    den = den >> 1;
+    // u[j .. j+n] -= qhat * v
+    u64 mul_carry = 0;
+    u64 borrow = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      const u128 p = qhat * v[i] + mul_carry;
+      mul_carry = static_cast<u64>(p >> 64);
+      const u64 lo = static_cast<u64>(p);
+      const u64 diff = u[i + j] - lo;
+      const u64 next_borrow = (u[i + j] < lo) || (diff < borrow) ? 1 : 0;
+      u[i + j] = diff - borrow;
+      borrow = next_borrow;
+    }
+    const u64 head = u[j + n] - mul_carry;
+    const bool negative = (u[j + n] < mul_carry) || (head < borrow);
+    u[j + n] = head - borrow;
+    if (negative) {
+      // qhat was one too large: add v back (the carry out cancels the borrow).
+      --qhat;
+      u64 carry = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        const u128 sum = static_cast<u128>(u[i + j]) + v[i] + carry;
+        u[i + j] = static_cast<u64>(sum);
+        carry = static_cast<u64>(sum >> 64);
+      }
+      u[j + n] += carry;
+    }
+    quo.limbs_[j] = static_cast<u64>(qhat);
   }
   quo.trim();
+
+  // The remainder is u[0 .. n), still shifted left.
+  BigUint rem;
+  rem.limbs_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    rem.limbs_[i] = shift == 0 ? u[i] : (u[i] >> shift) | (u[i + 1] << (64 - shift));
+  }
+  rem.trim();
   return {quo, rem};
 }
 

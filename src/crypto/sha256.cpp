@@ -160,6 +160,30 @@ Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8
   return outer.finish();
 }
 
+HmacSha256::HmacSha256(std::span<const std::uint8_t> key) {
+  std::array<std::uint8_t, 64> k{};
+  if (key.size() > 64) {
+    const Digest kd = sha256(key);
+    std::memcpy(k.data(), kd.data(), kd.size());
+  } else if (!key.empty()) {
+    std::memcpy(k.data(), key.data(), key.size());
+  }
+  std::array<std::uint8_t, 64> pad;
+  for (int i = 0; i < 64; ++i) pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x36);
+  inner_.update(pad);
+  for (int i = 0; i < 64; ++i) pad[i] = static_cast<std::uint8_t>(k[i] ^ 0x5c);
+  outer_.update(pad);
+}
+
+Digest HmacSha256::mac(std::span<const std::uint8_t> msg) const {
+  Sha256 inner = inner_;
+  inner.update(msg);
+  const Digest inner_digest = inner.finish();
+  Sha256 outer = outer_;
+  outer.update(inner_digest);
+  return outer.finish();
+}
+
 std::string digest_hex(const Digest& d) { return to_hex(d); }
 
 }  // namespace nwade::crypto

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <span>
 #include <string_view>
 
@@ -42,8 +43,34 @@ class Sha256 {
 Digest sha256(std::span<const std::uint8_t> data);
 Digest sha256(std::string_view s);
 
-/// HMAC-SHA256 (RFC 2104); used by the fast test signer.
+/// HMAC-SHA256 (RFC 2104), deriving the key's pads on every call.
 Digest hmac_sha256(std::span<const std::uint8_t> key, std::span<const std::uint8_t> msg);
+
+/// HMAC-SHA256 under one fixed key, for the fast test signer. The key's
+/// ipad and opad blocks are absorbed once, at construction; each mac()
+/// resumes from copies of those two midstates, so it costs two compressions
+/// fewer than hmac_sha256 and returns the same bytes.
+class HmacSha256 {
+ public:
+  explicit HmacSha256(std::span<const std::uint8_t> key);
+
+  Digest mac(std::span<const std::uint8_t> msg) const;
+
+ private:
+  Sha256 inner_;  ///< after key ^ ipad
+  Sha256 outer_;  ///< after key ^ opad
+};
+
+/// Hash-table hash for digests: a digest is uniformly distributed, so its
+/// first 8 bytes are a good hash.
+struct DigestHash {
+  std::size_t operator()(const Digest& d) const {
+    std::size_t h;
+    static_assert(sizeof(h) <= sizeof(Digest));
+    std::memcpy(&h, d.data(), sizeof(h));
+    return h;
+  }
+};
 
 /// Digest as a hex string.
 std::string digest_hex(const Digest& d);

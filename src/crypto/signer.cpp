@@ -32,15 +32,15 @@ class RsaVerifier final : public Verifier {
 
 class HmacVerifier final : public Verifier {
  public:
-  explicit HmacVerifier(Bytes key) : key_(std::move(key)) {}
+  explicit HmacVerifier(HmacSha256 hmac) : hmac_(std::move(hmac)) {}
   bool verify(std::span<const std::uint8_t> msg,
               std::span<const std::uint8_t> sig) const override {
-    const Digest mac = hmac_sha256(key_, msg);
+    const Digest mac = hmac_.mac(msg);
     return sig.size() == mac.size() && std::equal(sig.begin(), sig.end(), mac.begin());
   }
 
  private:
-  Bytes key_;
+  HmacSha256 hmac_;
 };
 
 }  // namespace
@@ -65,11 +65,11 @@ std::shared_ptr<const Verifier> RsaSigner::verifier_with_cache(
   return std::make_shared<RsaVerifier>(key_.pub, &cache);
 }
 
-HmacSigner::HmacSigner(Bytes key)
-    : key_(std::move(key)), verifier_(std::make_shared<HmacVerifier>(key_)) {}
+HmacSigner::HmacSigner(const Bytes& key)
+    : hmac_(key), verifier_(std::make_shared<HmacVerifier>(hmac_)) {}
 
 Bytes HmacSigner::sign(std::span<const std::uint8_t> msg) const {
-  const Digest mac = hmac_sha256(key_, msg);
+  const Digest mac = hmac_.mac(msg);
   return Bytes(mac.begin(), mac.end());
 }
 

@@ -67,13 +67,13 @@ class RsaSigner final : public Signer {
 /// protocol-logic tests that use it.
 class HmacSigner final : public Signer {
  public:
-  explicit HmacSigner(Bytes key);
+  explicit HmacSigner(const Bytes& key);
 
   Bytes sign(std::span<const std::uint8_t> msg) const override;
   std::shared_ptr<const Verifier> verifier() const override;
 
  private:
-  Bytes key_;
+  HmacSha256 hmac_;  ///< the key's pads, absorbed once
   std::shared_ptr<const Verifier> verifier_;
 };
 

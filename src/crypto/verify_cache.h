@@ -24,7 +24,6 @@
 #pragma once
 
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <mutex>
 #include <optional>
@@ -72,8 +71,8 @@ class SigVerifyCache {
 
   /// Serializes capacity, counters and the entries, so a resumed run replays
   /// the same hits, misses and evictions. The entries are written as 16
-  /// lists grouped by `key[8] % 16`, each in FIFO order (the layout of
-  /// nwade-ckpt-v1, docs/CHECKPOINT.md §6); restore merges them by insertion
+  /// lists grouped by `key[8] % 16`, each in FIFO order (the `crypto`
+  /// section's layout, docs/CHECKPOINT.md §6); restore merges them by insertion
   /// sequence. Restore overwrites the cache in place and returns false on
   /// malformed input: a duplicate key, seqs that do not increase within a
   /// list, or more entries than the capacity.
@@ -81,16 +80,6 @@ class SigVerifyCache {
   bool checkpoint_restore(ByteReader& r);
 
  private:
-  /// The key is itself a SHA-256 output, so any 8 bytes are a good hash.
-  struct DigestHash {
-    std::size_t operator()(const Digest& d) const {
-      std::size_t h;
-      static_assert(sizeof(h) <= 32);
-      std::memcpy(&h, d.data(), sizeof(h));
-      return h;
-    }
-  };
-
   mutable std::mutex mu_;
   std::size_t capacity_;
   std::uint64_t next_seq_{0};  ///< insertion sequence of the next store

@@ -863,7 +863,7 @@ bool load_digest(ByteReader& r, crypto::Digest& d) {
 
 }  // namespace
 
-void ImNode::checkpoint_save(ByteWriter& w) const {
+void ImNode::checkpoint_save(ByteWriter& w, chain::BlockTable& blocks) const {
   w.u8(static_cast<std::uint8_t>(state_));
   w.u32(static_cast<std::uint32_t>(pending_requests_.size()));
   for (const PlanRequest& req : pending_requests_) {
@@ -880,7 +880,7 @@ void ImNode::checkpoint_save(ByteWriter& w) const {
   w.bytes(prev_hash_);
   w.u64(seq_);
   w.u32(static_cast<std::uint32_t>(recent_blocks_.size()));
-  for (const chain::BlockPtr& b : recent_blocks_) w.bytes(b->serialize());
+  for (const chain::BlockPtr& b : recent_blocks_) blocks.write_ref(w, b);
 
   w.u32(static_cast<std::uint32_t>(rounds_.size()));
   for (const auto& [id, round] : rounds_) {
@@ -929,7 +929,7 @@ void ImNode::checkpoint_save(ByteWriter& w) const {
   }
 }
 
-bool ImNode::checkpoint_restore(ByteReader& r) {
+bool ImNode::checkpoint_restore(ByteReader& r, chain::BlockTable& blocks) {
   state_ = static_cast<ImState>(r.u8());
   const std::uint32_t n_requests = r.u32();
   if (!r.ok() || n_requests > r.remaining() / 16) return false;
@@ -954,12 +954,12 @@ bool ImNode::checkpoint_restore(ByteReader& r) {
   if (!load_digest(r, prev_hash_)) return false;
   seq_ = r.u64();
   const std::uint32_t n_blocks = r.u32();
-  if (!r.ok() || n_blocks > r.remaining()) return false;
+  if (!r.ok() || n_blocks > r.remaining() / 4) return false;
   recent_blocks_.clear();
   for (std::uint32_t i = 0; i < n_blocks; ++i) {
-    std::optional<chain::Block> b = chain::Block::deserialize(r.bytes());
+    chain::BlockPtr b = blocks.read_ref(r);
     if (!b) return false;
-    recent_blocks_.push_back(std::make_shared<const chain::Block>(std::move(*b)));
+    recent_blocks_.push_back(std::move(b));
   }
 
   const std::uint32_t n_rounds = r.u32();

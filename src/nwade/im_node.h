@@ -22,6 +22,7 @@
 
 #include "aim/scheduler.h"
 #include "chain/block.h"
+#include "chain/block_table.h"
 #include "net/clock.h"
 #include "net/network.h"
 #include "nwade/config.h"
@@ -135,13 +136,14 @@ class ImNode final : public net::Node {
   /// block log, every verification round with its pending tally deadline,
   /// strike/blacklist tables, courtesy-gap timers, the scheduler's
   /// reservation tables, and the pending window event's exact event-queue
-  /// coordinates.
-  void checkpoint_save(ByteWriter& w) const;
+  /// coordinates. The block log is written as references into `blocks`.
+  void checkpoint_save(ByteWriter& w, chain::BlockTable& blocks) const;
   /// Restores onto a node constructed in resume mode (start() not called;
-  /// its sequence number burned by the caller). Re-schedules the window
-  /// event and each round's tally deadline at their original (when, seq)
-  /// positions. Returns false on malformed input.
-  bool checkpoint_restore(ByteReader& r);
+  /// its sequence number burned by the caller), taking the block log from
+  /// `blocks`. Re-schedules the window event and each round's tally deadline
+  /// at their original (when, seq) positions. Returns false on malformed
+  /// input.
+  bool checkpoint_restore(ByteReader& r, chain::BlockTable& blocks);
 
  private:
   struct VerificationRound {

@@ -118,6 +118,39 @@ void VehicleNode::retry_plan_request(Tick now) {
 
 void VehicleNode::set_state(VehicleState next) { state_ = next; }
 
+void VehicleNode::retire() {
+  plan_.reset();
+  extra_plans_.clear();
+  reported_suspects_.clear();
+  block_requests_inflight_.clear();
+  dismissed_suspects_.clear();
+  self_evac_announced_.clear();
+  pending_conflict_claims_.clear();
+  denounced_reporters_.clear();
+  global_reporters_per_suspect_.clear();
+  im_distrust_reporters_.clear();
+  sham_check_suspect_.reset();
+  sham_check_after_ = 0;
+  confirmed_threats_.clear();
+  awaiting_deadline_ = 0;
+  awaiting_suspect_ = VehicleId{};
+  awaiting_retries_ = 0;
+  plan_retries_ = 0;
+  next_plan_request_at_ = 0;
+  last_block_seen_at_ = 0;
+  degraded_committed_ = false;
+  next_clear_check_at_ = 0;
+  shoulder_side_ = 1.0;
+  answered_verify_rounds_.clear();
+  last_beacon_at_ = 0;
+  last_evac_reason_ = GlobalReason::kConflictingPlans;
+  last_evac_suspect_ = VehicleId{};
+  attack_fired_ = false;
+  global_report_sent_ = false;
+  sensed_neighbours_ = 0;
+  obs_scratch_ = {};  // gives back the reserved capacity too
+}
+
 int VehicleNode::adaptive_threshold() const {
   return std::max(ctx_.config->global_report_threshold, sensed_neighbours_ / 2 + 1);
 }
@@ -176,6 +209,7 @@ void VehicleNode::step(Tick now, Duration dt_ms) {
     if (state_ == VehicleState::kDegraded) ctx_.metrics->degraded_crossings++;
     set_state(VehicleState::kExited);
     ctx_.metrics->vehicles_exited++;
+    retire();
     return;
   }
 
@@ -1121,12 +1155,14 @@ bool load_plan(ByteReader& r, std::optional<aim::TravelPlan>& out) {
 
 }  // namespace
 
-void VehicleNode::checkpoint_save(ByteWriter& w) const {
+void VehicleNode::checkpoint_save(ByteWriter& w,
+                                  chain::BlockTable& blocks) const {
   w.u8(static_cast<std::uint8_t>(state_));
   w.f64(s_);
   w.f64(v_);
   w.f64(lateral_offset_);
-  store_.checkpoint_save(w);
+  store_.checkpoint_save(w, blocks);
+  if (exited()) return;  // tombstone: retire() left nothing else
   w.u8(plan_.has_value() ? 1 : 0);
   if (plan_) w.bytes(plan_->serialize());
   w.u32(static_cast<std::uint32_t>(extra_plans_.size()));
@@ -1170,7 +1206,8 @@ void VehicleNode::checkpoint_save(ByteWriter& w) const {
   w.i64(sensed_neighbours_);
 }
 
-bool VehicleNode::checkpoint_restore(ByteReader& r) {
+bool VehicleNode::checkpoint_restore(ByteReader& r,
+                                     chain::BlockTable& blocks) {
   const std::uint8_t state = r.u8();
   if (!r.ok() || state > static_cast<std::uint8_t>(VehicleState::kExited)) {
     return false;
@@ -1180,7 +1217,13 @@ bool VehicleNode::checkpoint_restore(ByteReader& r) {
   v_ = r.f64();
   lateral_offset_ = r.f64();
   refresh_ground_truth();
-  if (!store_.checkpoint_restore(r)) return false;
+  if (!store_.checkpoint_restore(r, blocks)) return false;
+  // An exited vehicle's v2 record is a tombstone that ends here; v1 (inline
+  // blocks) wrote it in full, which is read below and then retired.
+  if (exited() && blocks.refs() == chain::BlockTable::Refs::kIndexed) {
+    retire();  // gives back the constructor's scratch reservation
+    return r.ok();
+  }
   plan_.reset();
   if (r.u8() != 0 && !load_plan(r, plan_)) return false;
   extra_plans_.clear();
@@ -1240,6 +1283,7 @@ bool VehicleNode::checkpoint_restore(ByteReader& r) {
   attack_fired_ = r.u8() != 0;
   global_report_sent_ = r.u8() != 0;
   sensed_neighbours_ = static_cast<int>(r.i64());
+  if (exited()) retire();  // nwade-ckpt-v1 wrote exited vehicles in full
   return r.ok();
 }
 

@@ -137,15 +137,19 @@ class VehicleNode final : public net::Node {
 
   // --- checkpoint/restore (sim/checkpoint) -----------------------------------
   /// Serializes all dynamic state: automaton state, kinematics, the block
-  /// store, plan caches, suspect/cooldown tables, retransmission timers and
-  /// attack latches. Constructor arguments (id, route, traits, spawn time,
-  /// attack profile) are NOT included — the world records those alongside so
-  /// it can reconstruct the node before restoring onto it.
-  void checkpoint_save(ByteWriter& w) const;
+  /// store (as references into `blocks`), plan caches, suspect/cooldown
+  /// tables, retransmission timers and attack latches. An exited vehicle
+  /// writes a tombstone instead: the record stops after the store, because
+  /// retire() left nothing else. Constructor arguments (id, route, traits,
+  /// spawn time, attack profile) are NOT included — the world records those
+  /// alongside so it can reconstruct the node before restoring onto it.
+  void checkpoint_save(ByteWriter& w, chain::BlockTable& blocks) const;
   /// Restores onto a freshly constructed node; start() must not be called on
   /// a restored vehicle (its spawn already happened before the checkpoint).
-  /// Returns false on malformed input.
-  bool checkpoint_restore(ByteReader& r);
+  /// An exited vehicle's record is a tombstone, except in nwade-ckpt-v1
+  /// (inline blocks), which wrote it in full; that state is read and then
+  /// retired. Returns false on malformed input.
+  bool checkpoint_restore(ByteReader& r, chain::BlockTable& blocks);
 
  private:
   /// Records an instant on the detection timeline, tagged with this
@@ -202,6 +206,13 @@ class VehicleNode final : public net::Node {
   int adaptive_threshold() const;
 
   void set_state(VehicleState next);
+  /// Called once the vehicle has exited: resets every protocol field (plan,
+  /// plan caches, suspect and cooldown tables, timers, latches, scratch) to
+  /// its constructed value. Nothing reads them again — the network no longer
+  /// delivers to an exited vehicle, and step() and watch() return at once —
+  /// so an exited vehicle keeps only its identity, its kinematics at exit
+  /// and its frozen block store, exactly what its tombstone restores.
+  void retire();
 
   VehicleContext ctx_;
   VehicleId id_;

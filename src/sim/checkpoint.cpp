@@ -527,14 +527,16 @@ constexpr const char* kSectionConfig = "config";
 constexpr const char* kSectionTime = "time";
 constexpr const char* kSectionMetrics = "metrics";
 constexpr const char* kSectionNetwork = "network";
+constexpr const char* kSectionBlocks = "blocks";
 constexpr const char* kSectionIm = "im";
 constexpr const char* kSectionVehicles = "vehicles";
 constexpr const char* kSectionLegacy = "legacy";
 constexpr const char* kSectionCrypto = "crypto";
 constexpr const char* kSectionTelemetry = "telemetry";
 
-/// Sections a v1 reader requires; extra sections are skipped (CRC-checked),
-/// which is the forward-compatibility path described in docs/CHECKPOINT.md.
+/// Upper bound on a well-formed section table; extra sections are skipped
+/// (CRC-checked), which is the forward-compatibility path described in
+/// docs/CHECKPOINT.md.
 constexpr std::size_t kMaxSections = 64;
 
 }  // namespace
@@ -581,33 +583,38 @@ Bytes World::checkpoint_save() const {
     });
     add(kSectionNetwork, w);
   }
-  {
-    ByteWriter w;
-    im_->checkpoint_save(w);
-    add(kSectionIm, w);
+  // The IM's block log and every store write indices into one table of
+  // distinct blocks, first seen in this order: the IM's log, then the
+  // vehicles in ascending id, each store oldest first.
+  chain::BlockTable blocks;
+  ByteWriter im_w;
+  im_->checkpoint_save(im_w, blocks);
+  ByteWriter vehicles_w;
+  vehicles_w.u32(static_cast<std::uint32_t>(vehicles_.size()));
+  for (const auto& [id, v] : vehicles_) {
+    vehicles_w.u64(id.value);
+    vehicles_w.i64(v->route_id());
+    v->traits().serialize(vehicles_w);
+    vehicles_w.i64(v->spawn_time());
+    const protocol::VehicleAttackProfile& a = v->attack_profile();
+    vehicles_w.u8(static_cast<std::uint8_t>(a.role));
+    vehicles_w.i64(a.trigger_at);
+    vehicles_w.u8(static_cast<std::uint8_t>(a.deviation));
+    vehicles_w.u8(static_cast<std::uint8_t>(a.false_report));
+    vehicles_w.u32(0xffffffffu);  // retired vehicle-row slot (docs/CHECKPOINT.md §6)
+    // Node state travels as a length-prefixed blob so the restore side
+    // can stage all records before constructing any node.
+    ByteWriter node_w;
+    v->checkpoint_save(node_w, blocks);
+    vehicles_w.bytes(node_w.take());
   }
   {
     ByteWriter w;
-    w.u32(static_cast<std::uint32_t>(vehicles_.size()));
-    for (const auto& [id, v] : vehicles_) {
-      w.u64(id.value);
-      w.i64(v->route_id());
-      v->traits().serialize(w);
-      w.i64(v->spawn_time());
-      const protocol::VehicleAttackProfile& a = v->attack_profile();
-      w.u8(static_cast<std::uint8_t>(a.role));
-      w.i64(a.trigger_at);
-      w.u8(static_cast<std::uint8_t>(a.deviation));
-      w.u8(static_cast<std::uint8_t>(a.false_report));
-      w.u32(0xffffffffu);  // retired vehicle-row slot (docs/CHECKPOINT.md §6)
-      // Node state travels as a length-prefixed blob so the restore side
-      // can stage all records before constructing any node.
-      ByteWriter node_w;
-      v->checkpoint_save(node_w);
-      w.bytes(node_w.take());
-    }
-    add(kSectionVehicles, w);
+    blocks.save(w);
+    add(kSectionBlocks, w);
   }
+  add(kSectionIm, im_w);
+  add(kSectionVehicles, vehicles_w);
   {
     ByteWriter w;
     w.u32(static_cast<std::uint32_t>(legacy_.size()));
@@ -652,8 +659,10 @@ std::unique_ptr<World> World::checkpoint_restore(const Bytes& blob,
   };
 
   ByteReader r(blob);
-  if (r.str() != checkpoint::kCheckpointSchema) {
-    return fail("not an nwade-ckpt-v1 checkpoint");
+  const std::string schema = r.str();
+  const bool v1 = schema == checkpoint::kCheckpointSchemaV1;
+  if (schema != checkpoint::kCheckpointSchema && !v1) {
+    return fail("not an nwade-ckpt-v2 (or v1) checkpoint");
   }
   const std::uint32_t n_sections = r.u32();
   if (!r.ok() || n_sections > kMaxSections) {
@@ -693,12 +702,14 @@ std::unique_ptr<World> World::checkpoint_restore(const Bytes& blob,
 
   auto world =
       std::unique_ptr<World>(new World(std::move(config), resume_t));
-  if (!world->apply_checkpoint(sections, error)) return nullptr;
+  chain::BlockTable blocks(v1 ? chain::BlockTable::Refs::kInline
+                              : chain::BlockTable::Refs::kIndexed);
+  if (!world->apply_checkpoint(sections, blocks, error)) return nullptr;
   return world;
 }
 
 bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
-                             std::string* error) {
+                             chain::BlockTable& blocks, std::string* error) {
   const auto fail = [&](const std::string& msg) {
     if (error) *error = msg;
     return false;
@@ -719,6 +730,21 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
       !legacy_s || !crypto_s || !telemetry_s) {
     return fail("missing checkpoint section");
   }
+
+  // nwade-ckpt-v1 holders carry their blocks inline; v2 holders index the
+  // `blocks` section, which is decoded once, before any holder.
+  if (blocks.refs() == chain::BlockTable::Refs::kIndexed) {
+    const Bytes* blocks_s = section(kSectionBlocks);
+    if (!blocks_s) return fail("missing checkpoint section");
+    ByteReader r(*blocks_s);
+    if (!blocks.load(r) || !r.at_end()) {
+      return fail("malformed blocks section: " +
+                  (blocks.error().empty() ? "trailing bytes" : blocks.error()));
+    }
+  }
+  const auto table_error = [&blocks] {
+    return blocks.error().empty() ? std::string() : ": " + blocks.error();
+  };
 
   std::uint64_t saved_next_seq = 0;
   {
@@ -764,8 +790,8 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
   }
   {
     ByteReader r(*im_s);
-    if (!im_->checkpoint_restore(r) || !r.at_end()) {
-      return fail("malformed im section");
+    if (!im_->checkpoint_restore(r, blocks) || !r.at_end()) {
+      return fail("malformed im section" + table_error());
     }
   }
   {
@@ -814,8 +840,8 @@ bool World::apply_checkpoint(const std::map<std::string, Bytes>& sections,
       auto node = std::make_unique<protocol::VehicleNode>(
           ctx, id, route_id, traits, spawn_time, profile);
       ByteReader nr(node_blob);
-      if (!node->checkpoint_restore(nr) || !nr.at_end()) {
-        return fail("malformed vehicles section");
+      if (!node->checkpoint_restore(nr, blocks) || !nr.at_end()) {
+        return fail("malformed vehicles section" + table_error());
       }
       // Exited vehicles were removed from the network when they left; their
       // chain stores still matter (trace digests fold every vehicle). A

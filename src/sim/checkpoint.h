@@ -1,12 +1,14 @@
 // Deterministic checkpoint/restore and record/replay (docs/CHECKPOINT.md).
 //
-// A checkpoint is a versioned binary envelope (`nwade-ckpt-v1`) holding the
+// A checkpoint is a versioned binary envelope (`nwade-ckpt-v2`) holding the
 // COMPLETE state of a World at a step boundary: scenario config, simulated
-// time and event-queue sequence counter, every vehicle's automaton + chain
-// store, the IM's plan/reservation/round tables with their pending timer
+// time and event-queue sequence counter, each distinct chain block once,
+// every live vehicle's automaton + chain store and every exited vehicle's
+// tombstone, the IM's plan/reservation/round tables with their pending timer
 // coordinates, the network's in-flight deliveries and fault-model RNG, the
 // signature-verification cache, and the telemetry registry. Restoring and
 // continuing is byte-identical (trace-golden digest) to never having stopped.
+// The reader also accepts the previous schema, `nwade-ckpt-v1`.
 //
 // The envelope is a named-section table — each section length-prefixed and
 // CRC-32 guarded — so corruption is detected before any state is applied and
@@ -26,7 +28,10 @@
 
 namespace nwade::sim::checkpoint {
 
-inline constexpr std::string_view kCheckpointSchema = "nwade-ckpt-v1";
+/// What World::checkpoint_save writes.
+inline constexpr std::string_view kCheckpointSchema = "nwade-ckpt-v2";
+/// The previous schema, which checkpoint_restore still reads (§6).
+inline constexpr std::string_view kCheckpointSchemaV1 = "nwade-ckpt-v1";
 inline constexpr std::string_view kReplaySchema = "nwade-replay-v1";
 
 // --- wire forms ------------------------------------------------------------

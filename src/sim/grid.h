@@ -122,10 +122,11 @@ class Grid {
 
   // --- checkpoint/restore ---------------------------------------------------
   /// Serializes the whole lattice into an `nwade-grid-ckpt-v1` envelope:
-  /// the same named-section table format as nwade-ckpt-v1 (docs/CHECKPOINT.md)
-  /// with a "grid" section (topology, cadence, edge queues/channels, roam
-  /// table, counters) plus one "shard.<i>" section per world, each a complete
-  /// nwade-ckpt-v1 blob. Unknown sections are skipped (CRC-checked), so a v1
+  /// the same named-section table format as the world envelope
+  /// (docs/CHECKPOINT.md) with a "grid" section (topology, cadence, edge
+  /// queues/channels, roam table, counters) plus one "shard.<i>" section per
+  /// world, each a complete nwade-ckpt-v2 world blob (v1 shard blobs still
+  /// restore). Unknown sections are skipped (CRC-checked), so a v1 grid
   /// reader survives future extensions. Must be called at an exchange
   /// boundary — the only instants where every exit log is drained.
   Bytes checkpoint_save() const;

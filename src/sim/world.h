@@ -108,7 +108,7 @@ class World final : public protocol::SensorProvider {
   RunSummary summary() const;
 
   // --- checkpoint/restore (sim/checkpoint.h, docs/CHECKPOINT.md) ------------
-  /// Serializes the complete world into an `nwade-ckpt-v1` envelope. Must be
+  /// Serializes the complete world into an `nwade-ckpt-v2` envelope. Must be
   /// called at a step boundary — i.e. between run_until calls, never from
   /// inside an event — so the event queue holds only the re-creatable timer
   /// and delivery events. The known exception: the tracer's recorded event
@@ -117,8 +117,9 @@ class World final : public protocol::SensorProvider {
   Bytes checkpoint_save() const;
   /// Reconstructs a world from a checkpoint and positions it exactly where
   /// the saved run stood: continuing with run_until/run is byte-identical to
-  /// the uninterrupted run. Returns nullptr on malformed or corrupt input
-  /// (with a diagnostic in *error when provided).
+  /// the uninterrupted run. Reads `nwade-ckpt-v2` and `nwade-ckpt-v1`.
+  /// Returns nullptr on malformed or corrupt input (with a diagnostic in
+  /// *error when provided).
   static std::unique_ptr<World> checkpoint_restore(const Bytes& blob,
                                                    std::string* error = nullptr);
 
@@ -210,10 +211,11 @@ class World final : public protocol::SensorProvider {
   World(ScenarioConfig config, Tick resume_t);
 
   /// Applies the named checkpoint sections onto a resume-mode-constructed
-  /// world. Telemetry is applied last (construction re-touches gauges), the
-  /// queue's sequence counter last of all.
+  /// world; `blocks` says how holders refer to blocks (v2 indices or v1
+  /// inline bytes). Telemetry is applied last (construction re-touches
+  /// gauges), the queue's sequence counter last of all.
   bool apply_checkpoint(const std::map<std::string, Bytes>& sections,
-                        std::string* error);
+                        chain::BlockTable& blocks, std::string* error);
 
   /// A legacy (non-communicating) vehicle: pure physics, no protocol.
   struct LegacyVehicle {

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for checkpoint section
 // integrity. Not cryptographic — the chain layer handles authenticity; this
-// catches torn writes and bit rot in `nwade-ckpt-v1` files before a resume
+// catches torn writes and bit rot in checkpoint files before a resume
 // silently diverges.
 #pragma once
 

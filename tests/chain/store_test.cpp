@@ -162,49 +162,111 @@ TEST_F(StoreTest, AppendKeepsTheCallersHandle) {
   EXPECT_EQ(store.by_seq(b->seq()), b);
 }
 
-/// A checkpoint section in BlockStore's layout: depth bound, then each
-/// block's serialize() bytes.
-Bytes store_section(std::uint64_t max_depth, const std::vector<BlockPtr>& blocks) {
+/// A table's `blocks` section loaded into a fresh reader-side table.
+BlockTable reload(const BlockTable& written) {
+  ByteWriter w;
+  written.save(w);
+  const Bytes section = w.take();
+  BlockTable back;
+  ByteReader r(section);
+  EXPECT_TRUE(back.load(r) && r.at_end()) << back.error();
+  return back;
+}
+
+/// A checkpoint section in BlockStore's layout: depth bound, block count,
+/// then each block's reference — its serialize() bytes (nwade-ckpt-v1) or
+/// its index into `table` (v2), which gains every block it has not seen.
+Bytes store_section(std::uint64_t max_depth, const std::vector<BlockPtr>& blocks,
+                    BlockTable* table = nullptr) {
   ByteWriter w;
   w.u64(max_depth);
   w.u32(static_cast<std::uint32_t>(blocks.size()));
-  for (const BlockPtr& b : blocks) w.bytes(b->serialize());
+  for (const BlockPtr& b : blocks) {
+    if (table != nullptr) {
+      table->write_ref(w, b);
+    } else {
+      w.bytes(b->serialize());
+    }
+  }
   return w.take();
 }
 
 TEST_F(StoreTest, CheckpointRoundTripRestoresEveryBlock) {
   BlockStore store(3);
   for (int i = 0; i < 5; ++i) ASSERT_TRUE(store.append(next_block(), *signer_.verifier()));
+  BlockTable written;
   ByteWriter w;
-  store.checkpoint_save(w);
+  store.checkpoint_save(w, written);
   const Bytes saved = w.take();
+  EXPECT_EQ(written.size(), 3u);
+  BlockTable table = reload(written);
   BlockStore back;
   ByteReader r(saved);
-  ASSERT_TRUE(back.checkpoint_restore(r));
+  ASSERT_TRUE(back.checkpoint_restore(r, table)) << table.error();
   EXPECT_EQ(back.max_depth(), 3u);
   ASSERT_EQ(back.size(), 3u);
   EXPECT_EQ(back.latest()->hash(), store.latest()->hash());
+  BlockTable rewritten;
   ByteWriter again;
-  back.checkpoint_save(again);
+  back.checkpoint_save(again, rewritten);
   EXPECT_EQ(again.take(), saved);
+}
+
+TEST_F(StoreTest, InlineCheckpointSectionInternsBlocksByHash) {
+  // nwade-ckpt-v1 stores carry their blocks inline; two stores holding the
+  // same blocks restore onto the same objects.
+  const std::vector<BlockPtr> blocks = {next_block(), next_block()};
+  const Bytes section = store_section(4, blocks);
+  BlockTable table(BlockTable::Refs::kInline);
+  BlockStore a;
+  BlockStore b;
+  ByteReader ra(section);
+  ByteReader rb(section);
+  ASSERT_TRUE(a.checkpoint_restore(ra, table));
+  ASSERT_TRUE(b.checkpoint_restore(rb, table));
+  EXPECT_EQ(table.size(), 2u);
+  EXPECT_EQ(a.blocks()[1], b.blocks()[1]);
+  EXPECT_EQ(a.latest()->hash(), blocks[1]->hash());
 }
 
 TEST_F(StoreTest, CheckpointRestoreRejectsMoreBlocksThanDepth) {
   const std::vector<BlockPtr> blocks = {next_block(), next_block(), next_block()};
-  const Bytes section = store_section(2, blocks);
+  {
+    BlockTable table(BlockTable::Refs::kInline);
+    const Bytes section = store_section(2, blocks);
+    BlockStore store;
+    ByteReader r(section);
+    EXPECT_FALSE(store.checkpoint_restore(r, table));
+    EXPECT_NE(table.error().find("more than its depth"), std::string::npos);
+  }
+  BlockTable written;
+  const Bytes section = store_section(2, blocks, &written);
+  BlockTable table = reload(written);
   BlockStore store;
   ByteReader r(section);
-  EXPECT_FALSE(store.checkpoint_restore(r));
+  EXPECT_FALSE(store.checkpoint_restore(r, table));
+  EXPECT_NE(table.error().find("more than its depth"), std::string::npos);
 }
 
 TEST_F(StoreTest, CheckpointRestoreRejectsNonConsecutiveSeqs) {
   const BlockPtr b0 = next_block();
   next_block();  // seq 1 is skipped
   const BlockPtr b2 = next_block();
-  const Bytes section = store_section(8, {b0, b2});
+  {
+    BlockTable table(BlockTable::Refs::kInline);
+    const Bytes section = store_section(8, {b0, b2});
+    BlockStore store;
+    ByteReader r(section);
+    EXPECT_FALSE(store.checkpoint_restore(r, table));
+    EXPECT_NE(table.error().find("not consecutive"), std::string::npos);
+  }
+  BlockTable written;
+  const Bytes section = store_section(8, {b0, b2}, &written);
+  BlockTable table = reload(written);
   BlockStore store;
   ByteReader r(section);
-  EXPECT_FALSE(store.checkpoint_restore(r));
+  EXPECT_FALSE(store.checkpoint_restore(r, table));
+  EXPECT_NE(table.error().find("not consecutive"), std::string::npos);
 }
 
 /// find_plan as a newest-first walk of the cached blocks.
@@ -291,12 +353,14 @@ TEST(StoreIndexProperty, RandomOperationsMatchNewestFirstWalk) {
     } else {
       // Checkpoint round trip: restored blocks are new objects.
       BlockStore& s = stores[static_cast<std::size_t>(rng.uniform_int(0, 2))];
+      BlockTable written;
       ByteWriter w;
-      s.checkpoint_save(w);
+      s.checkpoint_save(w, written);
       const Bytes saved = w.take();
+      BlockTable table = reload(written);
       BlockStore back;
       ByteReader r(saved);
-      ASSERT_TRUE(back.checkpoint_restore(r));
+      ASSERT_TRUE(back.checkpoint_restore(r, table)) << table.error();
       s = std::move(back);
     }
 

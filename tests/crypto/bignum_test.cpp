@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 namespace nwade::crypto {
 namespace {
 
@@ -60,6 +63,46 @@ TEST(BigUint, DivmodIdentityRandomized) {
     const auto [q, r] = a.divmod(b);
     EXPECT_TRUE(r < b);
     EXPECT_EQ(q * b + r, a);
+  }
+}
+
+/// A value of exactly `limbs` limbs (top limb non-zero) whose limbs favour
+/// the cases long division gets wrong: all ones, near 2^64, near zero.
+BigUint structured_limbs(Rng& rng, int limbs) {
+  std::string hex;
+  for (int i = 0; i < limbs; ++i) {
+    std::uint64_t limb = 0;
+    switch (rng.uniform_int(0, 4)) {
+      case 0: limb = ~0ULL; break;
+      case 1: limb = ~0ULL - static_cast<std::uint64_t>(rng.uniform_int(0, 3)); break;
+      case 2: limb = static_cast<std::uint64_t>(rng.uniform_int(0, 3)); break;
+      case 3: limb = 1ULL << 63; break;
+      default: limb = rng.next_u64(); break;
+    }
+    if (i == 0 && limb == 0) limb = 1;  // hex is most significant first
+    char buf[17];
+    std::snprintf(buf, sizeof(buf), "%016llx", static_cast<unsigned long long>(limb));
+    hex += buf;
+  }
+  return big(hex);
+}
+
+TEST(BigUint, DivmodPropertyAcrossLimbCounts) {
+  // q*d + r == a and r < d for 1-65 limb operands, half of them with the
+  // divisor's top limb near 2^64 (no normalization shift) and limbs that
+  // stress the quotient estimate and its add-back correction.
+  Rng rng(1965);
+  for (int i = 0; i < 3000; ++i) {
+    const int a_limbs = static_cast<int>(rng.uniform_int(1, 65));
+    const int d_limbs = static_cast<int>(rng.uniform_int(1, 65));
+    const BigUint a = i % 2 == 0 ? structured_limbs(rng, a_limbs)
+                                 : BigUint::random_bits(rng, 64 * a_limbs);
+    BigUint d = i % 3 == 0 ? BigUint::random_bits(rng, 64 * d_limbs)
+                           : structured_limbs(rng, d_limbs);
+    if (i % 4 == 1) d = BigUint::random_bits(rng, 64 * d_limbs - static_cast<int>(rng.uniform_int(0, 62)));
+    const auto [q, r] = a.divmod(d);
+    ASSERT_TRUE(r < d) << "a=" << a.to_hex() << " d=" << d.to_hex();
+    ASSERT_EQ(q * d + r, a) << "a=" << a.to_hex() << " d=" << d.to_hex();
   }
 }
 

@@ -5,6 +5,8 @@
 
 #include <string>
 
+#include "util/rng.h"
+
 namespace nwade::crypto {
 namespace {
 
@@ -109,6 +111,23 @@ TEST(HmacSha256, LongKeyIsHashedFirst) {
                reinterpret_cast<const std::uint8_t*>(msg.data()), msg.size()));
   EXPECT_EQ(digest_hex(mac),
             "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+TEST(HmacSha256, MidstateMacEqualsHmacSha256) {
+  // Every key length around the 64-byte block (and past it, where the key is
+  // hashed first), each with a few random messages of random length.
+  Rng rng(4231);
+  for (std::size_t key_len = 0; key_len <= 130; ++key_len) {
+    Bytes key(key_len);
+    for (auto& b : key) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+    const HmacSha256 hmac(key);
+    for (int m = 0; m < 4; ++m) {
+      Bytes msg(static_cast<std::size_t>(rng.uniform_int(0, 200)));
+      for (auto& b : msg) b = static_cast<std::uint8_t>(rng.uniform_int(0, 255));
+      ASSERT_EQ(digest_hex(hmac.mac(msg)), digest_hex(hmac_sha256(key, msg)))
+          << "key length " << key_len << ", message length " << msg.size();
+    }
+  }
 }
 
 }  // namespace

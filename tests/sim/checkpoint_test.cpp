@@ -249,6 +249,91 @@ TEST(CheckpointResume, ResumeOfResumeStaysExact) {
             "0e83bbd0a51d8df2b9ea6241bfb16e70f3e62c285ccd24da7b3aa131a39b0e2b");
 }
 
+// --- what a snapshot holds (docs/CHECKPOINT.md §1) ---------------------------
+
+/// Checks that every store's block with a given hash is one object, and
+/// returns how many distinct blocks the stores hold.
+std::size_t expect_one_object_per_block(World& world, const char* what) {
+  std::map<crypto::Digest, const chain::Block*> seen;
+  for (const VehicleId id : world.vehicle_ids()) {
+    for (const chain::BlockPtr& b : world.vehicle(id)->store().blocks()) {
+      const auto [it, added] = seen.emplace(b->hash(), b.get());
+      EXPECT_EQ(it->second, b.get())
+          << what << ": vehicle " << id.value << " holds its own copy of block "
+          << b->seq();
+    }
+  }
+  return seen.size();
+}
+
+TEST(CheckpointRestore, EveryHolderSharesOneObjectPerBlock) {
+  // A restored world shares blocks the way the live one does: every store
+  // holding a block holds the same object, exited vehicles' frozen stores
+  // included.
+  ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 40, 3);
+  cfg.nwade.chain_depth = 8;
+  World live(std::move(cfg));
+  live.run_until(50'000);
+  const std::size_t distinct = expect_one_object_per_block(live, "live");
+  std::unique_ptr<World> restored = World::checkpoint_restore(live.checkpoint_save());
+  ASSERT_NE(restored, nullptr);
+  EXPECT_EQ(expect_one_object_per_block(*restored, "restored"), distinct);
+}
+
+TEST(CheckpointRestore, ExitedVehiclesKeepOnlyTheirTombstone) {
+  // An exited vehicle keeps its identity, its kinematics at exit and its
+  // frozen store, in the live world and after a restore alike; its plan is
+  // gone.
+  World live(scenario(traffic::IntersectionKind::kCross4, 40, 3));
+  live.run_until(50'000);
+  std::unique_ptr<World> restored = World::checkpoint_restore(live.checkpoint_save());
+  ASSERT_NE(restored, nullptr);
+  int exited = 0;
+  for (const VehicleId id : live.vehicle_ids()) {
+    const protocol::VehicleNode& a = *live.vehicle(id);
+    const protocol::VehicleNode& b = *restored->vehicle(id);
+    if (!a.exited()) continue;
+    ++exited;
+    EXPECT_TRUE(b.exited());
+    EXPECT_FALSE(a.has_plan());
+    EXPECT_FALSE(b.has_plan());
+    EXPECT_EQ(a.progress_s(), b.progress_s());
+    EXPECT_EQ(a.speed_mps(), b.speed_mps());
+    EXPECT_EQ(a.spawn_time(), b.spawn_time());
+    EXPECT_EQ(a.store().size(), b.store().size());
+    EXPECT_GT(a.store().size(), 0u);
+  }
+  EXPECT_GT(exited, 10);
+}
+
+/// Deterministic size gate: the snapshot of a scenario at a servable load
+/// (flat backlog) grows by at most this many bytes per newly exited vehicle.
+/// nwade-ckpt-v2 measures 371 B here (a tombstone of about 60 B of identity,
+/// 25 B of kinematics and state, 4 B per block index of its frozen store,
+/// plus the distinct blocks only frozen stores still hold); nwade-ckpt-v1,
+/// which wrote every block copy and every exited vehicle's protocol state,
+/// measured 7,222 B.
+constexpr double kMaxBytesPerExitedVehicle = 512;
+
+TEST(CheckpointSize, BytesPerExitedVehicleStayBounded) {
+  ScenarioConfig cfg = scenario(traffic::IntersectionKind::kCross4, 36, 1);
+  cfg.duration_ms = 240'000;
+  World world(std::move(cfg));
+  world.run_until(120'000);
+  const std::size_t bytes_before = world.checkpoint_save().size();
+  const int exited_before = world.metrics().vehicles_exited;
+  world.run_until(240'000);
+  const std::size_t bytes_after = world.checkpoint_save().size();
+  const int exited_after = world.metrics().vehicles_exited;
+  ASSERT_GT(exited_after - exited_before, 50);
+  const double per_exited =
+      (static_cast<double>(bytes_after) - static_cast<double>(bytes_before)) /
+      (exited_after - exited_before);
+  EXPECT_LE(per_exited, kMaxBytesPerExitedVehicle)
+      << bytes_before << " B with " << exited_before << " exited, then "
+      << bytes_after << " B with " << exited_after << " exited";
+}
+
 // --- malformed input --------------------------------------------------------
 
 TEST(CheckpointRestore, RejectsCorruptEnvelope) {

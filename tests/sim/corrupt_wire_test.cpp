@@ -9,13 +9,17 @@
 
 #include <random>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "chain/block.h"
 #include "crypto/signer.h"
 #include "nwade/message_codec.h"
 #include "sim/checkpoint.h"
 #include "sim/world.h"
+#include "traffic/types.h"
 #include "util/bytes.h"
+#include "util/crc32.h"
 
 namespace nwade::sim {
 namespace {
@@ -196,6 +200,185 @@ TEST(CorruptWire, CheckpointRestoreSurvivesMutation) {
     std::string error;
     EXPECT_EQ(World::checkpoint_restore(torn, &error), nullptr);
     EXPECT_FALSE(error.empty());
+  }
+}
+
+// --- crafted nwade-ckpt-v2 blobs ----------------------------------------------
+//
+// Each case below edits one structure of a valid v2 checkpoint and then
+// re-frames the envelope with fresh CRCs, so the edit reaches the reader's
+// structural checks instead of being caught as bit rot.
+
+using Sections = std::vector<std::pair<std::string, Bytes>>;
+
+Sections sections_of(const Bytes& blob) {
+  ByteReader r(blob);
+  EXPECT_EQ(r.str(), checkpoint::kCheckpointSchema);
+  const std::uint32_t n = r.u32();
+  Sections out;
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    std::string name = r.str();
+    (void)r.u32();  // crc
+    out.emplace_back(std::move(name), r.bytes());
+  }
+  EXPECT_TRUE(r.ok() && r.at_end());
+  return out;
+}
+
+Bytes envelope(const Sections& sections) {
+  ByteWriter w;
+  w.str(checkpoint::kCheckpointSchema);
+  w.u32(static_cast<std::uint32_t>(sections.size()));
+  for (const auto& [name, payload] : sections) {
+    w.str(name);
+    w.u32(util::crc32(payload));
+    w.bytes(payload);
+  }
+  return w.take();
+}
+
+Bytes& section(Sections& sections, const std::string& name) {
+  for (auto& [n, payload] : sections) {
+    if (n == name) return payload;
+  }
+  ADD_FAILURE() << "no section " << name;
+  static Bytes none;
+  return none;
+}
+
+void put_u32(Bytes& b, std::size_t at, std::uint32_t v) {
+  for (int i = 0; i < 4; ++i) b[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+}
+
+std::uint32_t get_u32(const Bytes& b, std::size_t at) {
+  std::uint32_t v = 0;
+  for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(b[at + i]) << (8 * i);
+  return v;
+}
+
+/// Offsets, within the `vehicles` section, of the first vehicle store that
+/// caches at least two blocks: its u64 depth bound, its u32 block count and
+/// its first u32 block index (docs/CHECKPOINT.md §1).
+struct StoreAt {
+  std::size_t depth{0};
+  std::size_t count{0};
+  std::size_t first_index{0};
+};
+
+StoreAt first_store_with_two_blocks(const Bytes& vehicles) {
+  ByteReader r(vehicles);
+  const std::uint32_t n = r.u32();
+  for (std::uint32_t i = 0; i < n && r.ok(); ++i) {
+    r.u64();  // id
+    r.i64();  // route
+    (void)traffic::VehicleTraits::deserialize(r);
+    r.i64();  // spawn time
+    r.u8();   // role
+    r.i64();  // trigger
+    r.u8();   // deviation
+    r.u8();   // false-report kind
+    r.u32();  // retired row slot
+    const std::uint32_t blob_len = r.u32();
+    // Node blob: u8 state, f64 s, f64 v, f64 lateral offset, then the store.
+    const std::size_t at = vehicles.size() - r.remaining() + 25;
+    StoreAt store{at, at + 8, at + 12};
+    if (get_u32(vehicles, store.count) >= 2) return store;
+    r.skip(blob_len);
+  }
+  ADD_FAILURE() << "no vehicle caches two blocks";
+  return {};
+}
+
+class CorruptWireV2 : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ScenarioConfig s;
+    s.duration_ms = 30'000;
+    s.vehicles_per_minute = 80;
+    s.seed = 3;
+    World world(s);
+    world.run_until(12'000);
+    valid_ = world.checkpoint_save();
+    // Re-framing an unedited blob changes nothing.
+    std::string error;
+    ASSERT_NE(World::checkpoint_restore(envelope(sections_of(valid_)), &error),
+              nullptr)
+        << error;
+  }
+
+  /// Restores the edited blob; it must fail with a diagnostic naming
+  /// `section` and containing `why`.
+  void expect_rejected(const Sections& edited, const std::string& section_name,
+                       const std::string& why) {
+    std::string error;
+    EXPECT_EQ(World::checkpoint_restore(envelope(edited), &error), nullptr);
+    EXPECT_NE(error.find(section_name), std::string::npos) << error;
+    EXPECT_NE(error.find(why), std::string::npos) << error;
+  }
+
+  Bytes valid_;
+};
+
+TEST_F(CorruptWireV2, BlockIndexOutOfRangeIsRejected) {
+  Sections edited = sections_of(valid_);
+  const std::uint32_t table_size = get_u32(section(edited, "blocks"), 0);
+  Bytes& vehicles = section(edited, "vehicles");
+  put_u32(vehicles, first_store_with_two_blocks(vehicles).first_index, table_size);
+  expect_rejected(edited, "vehicles", "out of range");
+}
+
+TEST_F(CorruptWireV2, ImBlockIndexOutOfRangeIsRejected) {
+  // An empty table puts every reference out of range; the IM's block log is
+  // the first holder read, so the im section reports it.
+  Sections edited = sections_of(valid_);
+  Bytes& blocks = section(edited, "blocks");
+  blocks.assign({0, 0, 0, 0});
+  expect_rejected(edited, "im", "out of range");
+}
+
+TEST_F(CorruptWireV2, RepeatedBlockHashIsRejected) {
+  Sections edited = sections_of(valid_);
+  Bytes& blocks = section(edited, "blocks");
+  ByteReader r(blocks);
+  const std::uint32_t n = r.u32();
+  ASSERT_GT(n, 0u);
+  const Bytes first = r.bytes();
+  ByteWriter again;
+  again.bytes(first);
+  blocks.insert(blocks.end(), again.data().begin(), again.data().end());
+  put_u32(blocks, 0, n + 1);
+  expect_rejected(edited, "blocks", "repeats an earlier hash");
+}
+
+TEST_F(CorruptWireV2, NonConsecutiveStoreSeqsAreRejected) {
+  Sections edited = sections_of(valid_);
+  Bytes& vehicles = section(edited, "vehicles");
+  const StoreAt store = first_store_with_two_blocks(vehicles);
+  const std::uint32_t a = get_u32(vehicles, store.first_index);
+  const std::uint32_t b = get_u32(vehicles, store.first_index + 4);
+  put_u32(vehicles, store.first_index, b);
+  put_u32(vehicles, store.first_index + 4, a);
+  expect_rejected(edited, "vehicles", "not consecutive");
+}
+
+TEST_F(CorruptWireV2, StoreDeeperThanItsBoundIsRejected) {
+  Sections edited = sections_of(valid_);
+  Bytes& vehicles = section(edited, "vehicles");
+  const StoreAt store = first_store_with_two_blocks(vehicles);
+  put_u32(vehicles, store.depth, 1);  // low half of the u64 depth bound
+  put_u32(vehicles, store.depth + 4, 0);
+  expect_rejected(edited, "vehicles", "more than its depth");
+}
+
+TEST_F(CorruptWireV2, TruncatedBlocksSectionIsRejected) {
+  Sections valid = sections_of(valid_);
+  const Bytes blocks = section(valid, "blocks");
+  ASSERT_GT(blocks.size(), 8u);
+  // Every cut short of the whole section, at 64 evenly spaced lengths.
+  for (std::size_t cut = 0; cut < 64; ++cut) {
+    Sections edited = valid;
+    section(edited, "blocks").resize(blocks.size() * cut / 64);
+    expect_rejected(edited, "blocks", "truncated");
   }
 }
 
